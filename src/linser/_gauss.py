@@ -1,9 +1,8 @@
-"""Exact Gaussian elimination over any field-like scalar type.
+"""Exact Gauss–Jordan elimination over any field-like scalar type.
 
-Scalars must support +, -, *, / and be falsy exactly when zero, which
-holds for Fraction and for FieldElement.  The forward pass uses the
-fraction-free cross-multiplication recurrence, pivoting on the leftmost
-column and the first nonzero row.
+Scalars must support +, -, *, 1 / x and be falsy exactly when zero, which
+holds for Fraction and for FieldElement.  The pivot row is scaled by
+1 / pivot and the pivot column cleared in every other row, skipping zeros.
 """
 
 from __future__ import annotations
@@ -12,40 +11,26 @@ from __future__ import annotations
 def rref(rows):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]
-    m = len(rows)
-    if m == 0:
-        return [], []
-    n = len(rows[0])
+    n = len(rows[0]) if rows else 0
     pivots = []
-    prev = None
-    r = 0
     for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            ric = rows[i][c]
-            for j in range(c, n):
-                val = piv * rows[i][j] - ric * rows[r][j]
-                if prev is not None:
-                    val = val / prev
-                rows[i][j] = val
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        inv = 1 / prow[c]
+        # entries left of c are zero in every row from r down
+        nz = [j for j in range(c, n) if prow[j]]
+        for j in nz:
+            prow[j] = prow[j] * inv
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
-        prev = piv
-        r += 1
-    for idx in range(len(pivots) - 1, -1, -1):
-        c = pivots[idx]
-        piv = rows[idx][c]
-        rows[idx] = [x / piv for x in rows[idx]]
-        for i in range(idx):
-            f = rows[i][c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[idx])]
     return rows[: len(pivots)], pivots
 
 
@@ -54,23 +39,23 @@ def rank(rows) -> int:
 
 
 def kernel(rows, ncols: int, zero, one):
-    """Canonical basis of the right kernel of the matrix given by ``rows``.
+    """Basis of the right kernel, in its unique reduced row echelon form.
 
-    The raw free-column basis is re-echelonized, so the result depends only
-    on the kernel subspace, not on the elimination path.
+    Reduced with its columns reversed, the matrix gives for each free
+    column j the vector with 1 at j, 0 at the other free columns and minus
+    the reduced column at the pivots, all right of j in the original order.
     """
-    reduced, pivots = rref(rows)
+    reduced, pivots = rref([r[::-1] for r in rows])
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     vecs = []
-    for j in free:
+    for j in range(ncols - 1, -1, -1):
+        if j in pivset:
+            continue
         v = [zero] * ncols
         v[j] = one
         for i, c in enumerate(pivots):
             val = reduced[i][j]
             if val:
                 v[c] = zero - val
-        vecs.append(v)
-    if not vecs:
-        return []
-    return rref(vecs)[0]
+        vecs.append(v[::-1])
+    return vecs

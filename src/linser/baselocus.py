@@ -21,6 +21,8 @@ from .bipoly import (
 )
 from .errors import (
     InvalidInput,
+    LinserError,
+    NonConstantGcd,
     NotABasepoint,
     RecursionLimitExceeded,
 )
@@ -140,17 +142,14 @@ class BasepointTree:
 
 
 def _pure_power_degree(g: BiPoly, var: str) -> int:
-    """Degree of a gcd known to be a power of one variable."""
+    """Degree of a gcd that must be a power of one variable."""
     if g.is_constant():
         return 0
-    terms = g.terms()
-    assert len(terms) == 1, f"gcd {g} is not a pure power of {var}"
-    ((du, dv),) = terms
-    if var == "v":
-        assert du == 0, f"gcd {g} is not a pure power of v"
-        return dv
-    assert dv == 0, f"gcd {g} is not a pure power of u"
-    return du
+    (du, dv), *rest = g.terms()
+    other, deg = (du, dv) if var == "v" else (dv, du)
+    if rest or other:
+        raise NonConstantGcd(f"gcd {g} is not a pure power of {var}")
+    return deg
 
 
 def _prepare(F, tower: FieldTower | None):
@@ -240,10 +239,12 @@ def _build_node(point, transforms, sequence, chain, depth, max_depth):
         )
     pulled_t = pullback_blowup(transforms, point, "t")
     m = _pure_power_degree(gcd_tuple(pulled_t), "v")
-    assert m >= 1, "zero multiplicity for a verified common zero"
+    if m < 1:
+        raise LinserError("zero multiplicity for a verified common zero")
     pulled_s = pullback_blowup(transforms, point, "s")
     ms = _pure_power_degree(gcd_tuple(pulled_s), "u")
-    assert ms == m, "chart multiplicities disagree"
+    if ms != m:
+        raise LinserError("chart multiplicities disagree")
     strict_t = exact_div_power(pulled_t, "v", m)
     strict_s = exact_div_power(pulled_s, "u", m)
 

@@ -24,7 +24,6 @@ from .errors import (
     NonConstantGcd,
     NotABasepoint,
     ParseError,
-    RecursionLimitExceeded,
 )
 from .linseries import Bidegree, LinearSeries, TotalDegree
 from .numfield import QQ
@@ -149,7 +148,7 @@ def _cmd_series(args):
     G = linseries.monomial_basis(_basis_spec(args.basis))
     M = linseries.set_basepoints(tree, G)
     kernel = linseries.kernel_basis(M)
-    series = linseries.series_through(tree, G)
+    series = linseries.kernel_members(M, G, kernel)
     if args.pretty:
         print(_pretty_tree(tree), file=sys.stderr)
     return {
@@ -308,7 +307,7 @@ def main(argv=None) -> int:
     except (NonConstantGcd, NoAdjoint, NotABasepoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RecursionLimitExceeded, LinserError, AssertionError) as exc:
+    except LinserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     print(json.dumps(payload, indent=2))

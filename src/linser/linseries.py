@@ -180,12 +180,11 @@ def kernel_basis(M: ConstraintMatrix):
     return _gauss.kernel(M.rows, M.ncols, t.zero(), t.one())
 
 
-def series_through(tree: BasepointTree, G: LinearSeries) -> LinearSeries:
-    """The largest subseries of G whose members satisfy the tree's conditions."""
-    M = set_basepoints(tree, G)
+def kernel_members(M: ConstraintMatrix, G: LinearSeries, kernel) -> LinearSeries:
+    """The members of G whose coefficients are the kernel vectors of M."""
     gens = [g.embed(M.tower) for g in G.generators]
     out = []
-    for vec in kernel_basis(M):
+    for vec in kernel:
         f = BiPoly.zero(M.tower)
         for c, g in zip(vec, gens):
             if c:
@@ -193,6 +192,12 @@ def series_through(tree: BasepointTree, G: LinearSeries) -> LinearSeries:
         out.append(f)
     # independent kernel vectors applied to an independent G stay independent
     return LinearSeries._known_independent(out, M.tower)
+
+
+def series_through(tree: BasepointTree, G: LinearSeries) -> LinearSeries:
+    """The largest subseries of G whose members satisfy the tree's conditions."""
+    M = set_basepoints(tree, G)
+    return kernel_members(M, G, kernel_basis(M))
 
 
 def monomial_basis(spec) -> LinearSeries:

@@ -14,6 +14,7 @@ from .errors import (
     BasisMismatch,
     ConjugationUnavailable,
     InvalidInput,
+    LinserError,
 )
 from .linseries import (
     Bidegree,
@@ -148,11 +149,11 @@ class LatticeContext:
             r = h.rank
             if sorted(involution) != list(range(r)):
                 raise InvalidInput("involution must permute the exceptional indices")
-            assert all(involution[involution[j]] == j for j in range(r)), \
-                "exceptional pairing is not an involution"
+            if any(involution[involution[j]] != j for j in range(r)):
+                raise LinserError("exceptional pairing is not an involution")
             exc = h.exceptional_part()
-            assert all(exc[involution[j]] == exc[j] for j in range(r)), \
-                "exceptional pairing does not fix the hyperplane class"
+            if any(exc[involution[j]] != exc[j] for j in range(r)):
+                raise LinserError("exceptional pairing does not fix the hyperplane class")
         self.basis = basis
         self.h = h
         self.k = k
@@ -225,7 +226,8 @@ def degree_of_surface(ctx: LatticeContext) -> int:
 def sectional_genus(ctx: LatticeContext) -> int:
     """Genus of a general hyperplane section: (h^2 + h.k)/2 + 1."""
     n = intersect(ctx.h, ctx.h) + intersect(ctx.h, ctx.k)
-    assert n % 2 == 0, "h^2 + h.k must be even on a lattice class"
+    if n % 2:
+        raise LinserError("h^2 + h.k must be even on a lattice class")
     return n // 2 + 1
 
 
@@ -234,7 +236,8 @@ def arithmetic_genus(ctx: LatticeContext, h0: int) -> int:
     if not isinstance(h0, int) or isinstance(h0, bool) or h0 < 1:
         raise InvalidInput(f"section dimension must be a positive integer: {h0!r}")
     n = intersect(ctx.h, ctx.h) - intersect(ctx.h, ctx.k)
-    assert n % 2 == 0, "h^2 - h.k must be even on a lattice class"
+    if n % 2:
+        raise LinserError("h^2 - h.k must be even on a lattice class")
     return h0 - n // 2 - 1
 
 

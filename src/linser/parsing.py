@@ -14,12 +14,14 @@ from .numfield import QQ, FieldElement, FieldTower, Rational, extend_field
 from .bipoly import BiPoly, UniPoly
 
 _OPS = set("+-*^()/")
+MAX_NESTING = 100  # keeps the recursive descent inside Python's recursion limit
 
 
 def _tokenize(text: str):
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {type(text).__name__}")
     toks = []
+    depth = 0
     i = 0
     n = len(text)
     while i < n:
@@ -42,6 +44,9 @@ def _tokenize(text: str):
             i = j
             continue
         if ch in _OPS:
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested too deeply at position {i}")
             toks.append(("OP", ch, i))
             i += 1
             continue
@@ -104,11 +109,11 @@ class _Parser:
                 return value
 
     def _factor(self):
-        kind, val, _ = self._peek()
-        if kind == "OP" and val == "-":
+        negate = False
+        while self._peek()[:2] == ("OP", "-"):
             self._next()
-            return -self._factor()
-        return self._primary()
+            negate = not negate
+        return -self._primary() if negate else self._primary()
 
     def _primary(self):
         value = self._atom()

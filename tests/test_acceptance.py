@@ -370,6 +370,7 @@ def _check_kernel_properties(cases):
         kern = _gauss.kernel(rows, ncols, tower.zero(), tower.one())
         rank = _gauss.rank([list(r) for r in rows])
         assert rank + len(kern) == ncols
+        assert _gauss.rref(kern)[0] == kern
         for vec in kern:
             for row in rows:
                 total = tower.zero()

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from linser.parsing import MAX_NESTING
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -146,6 +148,24 @@ def test_exit_2_on_parse_error():
     assert out.stderr != b""
 
 
+def test_exit_2_on_deep_nesting():
+    for text in ("(" * 3000 + "u" + ")" * 3000, "-" * 3000 + "2u"):
+        doc = {"series": [text, "v"]}
+        out = run("basepoints", "-", stdin=json.dumps(doc).encode())
+        assert out.returncode == 2
+        assert out.stdout == b""
+
+
+def test_nesting_up_to_the_bound_parses():
+    n = MAX_NESTING
+    doc = {"series": ["(" * n + "u" + ")" * n, "-" * 3001 + "v"]}
+    out = run("basepoints", "-", stdin=json.dumps(doc).encode())
+    assert out.returncode == 0
+    doc["series"][0] = "(" + doc["series"][0] + ")"
+    out = run("basepoints", "-", stdin=json.dumps(doc).encode())
+    assert out.returncode == 2
+
+
 def test_exit_2_on_reducible_extension():
     out = run("basepoints", gpath("reducible_input.json"))
     assert out.returncode == 2
@@ -191,6 +211,13 @@ def test_exit_3_on_no_adjoint():
 def test_exit_3_on_not_a_basepoint():
     out = run("strict-transform", gpath("strict_bad_input.json"))
     assert out.returncode == 3
+
+
+def test_exit_3_on_common_factor_in_transform():
+    doc = {"series": ["u^2-u*v", "u*v"], "sequence": [[["0", "0"], "t"]]}
+    out = run("strict-transform", "-", stdin=json.dumps(doc).encode())
+    assert out.returncode == 3
+    assert out.stdout == b""
 
 
 def test_exit_4_on_depth_limit():
