@@ -17,6 +17,7 @@ from .bipoly import (
     exact_div_power,
     gcd_tuple,
     pullback_blowup,
+    taylor_shift,
     uni_gcd_list,
 )
 from .errors import (
@@ -237,60 +238,43 @@ def _build_node(point, transforms, sequence, chain, depth, max_depth):
         raise RecursionLimitExceeded(
             f"blowup recursion passed depth {max_depth}"
         )
-    pulled_t = pullback_blowup(transforms, point, "t")
-    m = _pure_power_degree(gcd_tuple(pulled_t), "v")
+    # The transforms passed zero_set's gcd check, so after one expansion
+    # about the point both charts' pullbacks have gcd exactly the
+    # exceptional coordinate to the lowest total degree of the expansion.
+    shifted = taylor_shift(transforms, point)
+    m = min((a + b for f in shifted for a, b in f.terms()), default=0)
     if m < 1:
         raise LinserError("zero multiplicity for a verified common zero")
-    pulled_s = pullback_blowup(transforms, point, "s")
-    ms = _pure_power_degree(gcd_tuple(pulled_s), "u")
-    if ms != m:
-        raise LinserError("chart multiplicities disagree")
-    strict_t = exact_div_power(pulled_t, "v", m)
-    strict_s = exact_div_power(pulled_s, "u", m)
+    origin = (chain.zero(), chain.zero())
+    strict_t = exact_div_power(pullback_blowup(shifted, origin, "t"), "v", m)
+    strict_s = exact_div_power(pullback_blowup(shifted, origin, "s"), "u", m)
 
-    t_recs, chain = zero_set(strict_t, tower=chain, restriction="v")
-    child_seq = sequence + ((point, "t"),)
-    children_t = []
-    for rec in t_recs:
-        child, chain = _build_node(
-            rec.embed(chain),
-            [f.embed(chain) for f in strict_t],
-            child_seq,
-            chain,
-            depth + 1,
-            max_depth,
-        )
-        children_t.append(child)
-
-    # Points already found on the T-side exceptional line reappear in the
-    # S-chart at inverted coordinates; exclude exactly those.
-    at_zero = [f.substitute("v", chain.zero()) for f in strict_t]
-    at_zero = [p for p in at_zero if not p.is_zero()]
+    children = {"t": [], "s": []}
     drop = None
-    if at_zero:
-        g_line = uni_gcd_list(at_zero)
-        if g_line.degree() > 0:
-            drop = g_line.shifted_reverse()
-            if drop.degree() <= 0:
-                drop = None
-
-    s_recs, chain = zero_set(
-        strict_s, tower=chain, restriction="u", drop_roots_of=drop
-    )
-    child_seq = sequence + ((point, "s"),)
-    children_s = []
-    for rec in s_recs:
-        child, chain = _build_node(
-            rec.embed(chain),
-            [f.embed(chain) for f in strict_s],
-            child_seq,
-            chain,
-            depth + 1,
-            max_depth,
+    for chart, var, strict in (("t", "v", strict_t), ("s", "u", strict_s)):
+        if chart == "s":
+            # Points already found on the T-side exceptional line reappear
+            # in the S-chart at inverted coordinates; exclude exactly those.
+            at_zero = [f.substitute("v", chain.zero()) for f in strict_t]
+            at_zero = [p for p in at_zero if not p.is_zero()]
+            if at_zero:
+                line = uni_gcd_list(at_zero).shifted_reverse()
+                drop = line if line.degree() > 0 else None
+        recs, chain = zero_set(
+            strict, tower=chain, restriction=var, drop_roots_of=drop
         )
-        children_s.append(child)
+        for rec in recs:
+            child, chain = _build_node(
+                rec.embed(chain),
+                [f.embed(chain) for f in strict],
+                sequence + ((point, chart),),
+                chain,
+                depth + 1,
+                max_depth,
+            )
+            children[chart].append(child)
 
-    node = BasepointNode(sequence, point, m, tuple(children_t), tuple(children_s))
+    node = BasepointNode(sequence, point, m, children["t"], children["s"])
     return node, chain
 
 

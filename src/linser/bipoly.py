@@ -3,11 +3,17 @@
 BiPoly is a sparse bivariate polynomial with FieldElement coefficients.
 UniPoly is a dense univariate polynomial used for coefficient arithmetic,
 factoring and root work.  The module also provides the handful of global
-operations the blowup machinery needs: gcds, resultants, chart pullbacks,
-exact division by a power of a variable and derivative evaluation.
+operations the blowup machinery needs: gcds, resultants, exact division
+by a power of a variable, and the one blowup primitive, taylor_shift,
+which expands polynomials about a shared center.  A chart pullback is
+that shift plus an exponent relabel; a derivative at a point is a
+coefficient of the shift times factorials.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from math import comb, factorial
 
 from .errors import (
     DivisionByZero,
@@ -33,6 +39,17 @@ def common_tower(a: FieldTower, b: FieldTower) -> FieldTower:
     if b.extends(a):
         return b
     raise FieldMismatch("towers are not nested")
+
+
+def _on_common_tower(tower: FieldTower, values):
+    """The tower joining ``tower`` and the values' towers, and the values in it."""
+    for x in values:
+        if isinstance(x, FieldElement):
+            tower = common_tower(tower, x.tower)
+    return tower, [
+        x.embed(tower) if isinstance(x, FieldElement) else tower.rational(x)
+        for x in values
+    ]
 
 
 class UniPoly:
@@ -429,70 +446,28 @@ class BiPoly:
             n >>= 1
         return result
 
-    def derivative(self, var: str, order: int = 1) -> "BiPoly":
-        _check_var(var)
-        if not isinstance(order, int) or order < 0:
-            raise InvalidInput("derivative order must be a nonnegative integer")
-        idx = 0 if var == "u" else 1
-        cur = self
-        for _ in range(order):
-            out = {}
-            for (du, dv), c in cur._terms.items():
-                e = (du, dv)[idx]
-                if e == 0:
-                    continue
-                k = (du - 1, dv) if idx == 0 else (du, dv - 1)
-                out[k] = out.get(k, self.tower.zero()) + e * c
-            cur = BiPoly(self.tower, out)
-        return cur
-
     def substitute(self, var: str, value) -> UniPoly:
         """Set one variable to a field element, leaving a UniPoly in the other."""
         _check_var(var)
-        if isinstance(value, (int, Rational)):
-            value = self.tower.rational(value)
-        t = common_tower(self.tower, value.tower)
-        value = value.embed(t)
+        t, (value,) = _on_common_tower(self.tower, (value,))
         idx = 0 if var == "u" else 1
         other = "v" if var == "u" else "u"
         n = self.degree(other)
         out = [t.zero()] * (n + 1)
-        powers = {0: t.one()}
-
-        def pw(e):
-            if e not in powers:
-                powers[e] = pw(e - 1) * value
-            return powers[e]
-
+        pw = _powers(value, self.degree(var), t.one())
         for (du, dv), c in self._terms.items():
             e = (du, dv)[idx]
             k = (du, dv)[1 - idx]
-            out[k] = out[k] + c.embed(t) * pw(e)
+            out[k] = out[k] + c.embed(t) * pw[e]
         return UniPoly(t, other, out)
 
     def eval(self, point) -> FieldElement:
-        xu, xv = point
-        t = self.tower
-        for x in (xu, xv):
-            if isinstance(x, FieldElement):
-                t = common_tower(t, x.tower)
-        if isinstance(xu, (int, Rational)):
-            xu = t.rational(xu)
-        if isinstance(xv, (int, Rational)):
-            xv = t.rational(xv)
-        xu = xu.embed(t)
-        xv = xv.embed(t)
-        pu = {0: t.one()}
-        pv = {0: t.one()}
-
-        def pw(cache, base, e):
-            if e not in cache:
-                cache[e] = pw(cache, base, e - 1) * base
-            return cache[e]
-
+        t, (xu, xv) = _on_common_tower(self.tower, point)
+        pu = _powers(xu, self.degree("u"), t.one())
+        pv = _powers(xv, self.degree("v"), t.one())
         acc = t.zero()
         for (du, dv), c in self._terms.items():
-            acc = acc + c.embed(t) * pw(pu, xu, du) * pw(pv, xv, dv)
+            acc = acc + c.embed(t) * pu[du] * pv[dv]
         return acc
 
     def subs_polys(self, pu: "BiPoly", pv: "BiPoly") -> "BiPoly":
@@ -500,17 +475,11 @@ class BiPoly:
         t = common_tower(common_tower(self.tower, pu.tower), pv.tower)
         pu = pu.embed(t)
         pv = pv.embed(t)
-        cu = {0: BiPoly.one(t)}
-        cv = {0: BiPoly.one(t)}
-
-        def pw(cache, base, e):
-            if e not in cache:
-                cache[e] = pw(cache, base, e - 1) * base
-            return cache[e]
-
+        cu = _powers(pu, self.degree("u"), BiPoly.one(t))
+        cv = _powers(pv, self.degree("v"), BiPoly.one(t))
         acc = BiPoly.zero(t)
         for (du, dv), c in sorted(self._terms.items()):
-            acc = acc + BiPoly.constant(t, c.embed(t)) * pw(cu, pu, du) * pw(cv, pv, dv)
+            acc = acc + BiPoly.constant(t, c.embed(t)) * cu[du] * cv[dv]
         return acc
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
@@ -610,6 +579,14 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
+
+
+def _powers(base, n: int, one) -> list:
+    """[one, base, base^2, ..., base^n], built in a loop."""
+    out = [one]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
 
 
 def _render_terms(items, varnames) -> str:
@@ -859,37 +836,67 @@ def resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
     return _bareiss_det(rows, t, other)
 
 
+def taylor_shift(polys, point, order: int | None = None):
+    """Expand polynomials about one center: each f(u + x, v + y) at (x, y).
+
+    For each nonzero coordinate c, the table C(n, k)*c^(n-k) is built once
+    and shared by the whole list.  With ``order``, terms of total degree
+    ``order`` or more are dropped; the tables stop short of most of them.
+    """
+    polys = list(polys)
+    if not polys:
+        raise InvalidInput("empty collection")
+    t, center = _on_common_tower(reduce(common_tower, [f.tower for f in polys]), point)
+    cap = order if order is not None else max(f.degree() for f in polys) + 1
+    shifted = [f.embed(t)._terms for f in polys]
+    for idx, c in enumerate(center):
+        if c.is_zero():
+            continue
+        exps = {e[idx] for terms in shifted for e in terms}
+        pw = _powers(c, max(exps, default=0), t.one())
+        table = {
+            n: [pw[n - k] * comb(n, k) for k in range(min(n + 1, cap))]
+            for n in exps
+        }
+        shifted = [_shift_terms(terms, idx, table, cap) for terms in shifted]
+    return [
+        BiPoly(t, {e: c for e, c in terms.items() if e[0] + e[1] < cap})
+        for terms in shifted
+    ]
+
+
+def _shift_terms(terms, idx, table, cap):
+    """Shift one variable (index idx): x^n becomes the sum of table[n][k]*x^k."""
+    out = {}
+    for e, c in terms.items():
+        row = table[e[idx]]
+        # v is shifted last, so its terms keep a final u exponent
+        stop = min(len(row), cap - e[0]) if idx else len(row)
+        for k in range(stop):
+            key = (k, e[1]) if idx == 0 else (e[0], k)
+            prod = c * row[k]
+            out[key] = out[key] + prod if key in out else prod
+    return out
+
+
 def pullback_blowup(polys, point, chart: str):
     """Pull a collection of BiPoly back through one blowup chart.
 
     Chart "t" substitutes (v*u + x, v + y), chart "s" substitutes
-    (u + x, u*v + y), where (x, y) is the center being blown up.
+    (u + x, u*v + y), where (x, y) is the center being blown up.  Both
+    are the Taylor shift to the center followed by an exponent relabel:
+    u^a v^b becomes u^a v^(a+b) in chart "t" and u^(a+b) v^b in chart "s".
     """
     if chart not in ("t", "s"):
         raise InvalidInput(f"unknown chart {chart!r}; expected 't' or 's'")
-    polys = list(polys)
-    if not polys:
-        raise InvalidInput("empty collection")
-    t = polys[0].tower
-    for f in polys[1:]:
-        t = common_tower(t, f.tower)
-    px, py = point
-    for x in (px, py):
-        if isinstance(x, FieldElement):
-            t = common_tower(t, x.tower)
-    if isinstance(px, (int, Rational)):
-        px = t.rational(px)
-    if isinstance(py, (int, Rational)):
-        py = t.rational(py)
-    u = BiPoly.variable(t, "u")
-    v = BiPoly.variable(t, "v")
-    if chart == "t":
-        pu = v * u + BiPoly.constant(t, px.embed(t))
-        pv = v + BiPoly.constant(t, py.embed(t))
-    else:
-        pu = u + BiPoly.constant(t, px.embed(t))
-        pv = u * v + BiPoly.constant(t, py.embed(t))
-    return [f.embed(t).subs_polys(pu, pv) for f in polys]
+    out = []
+    for f in taylor_shift(polys, point):
+        if chart == "t":
+            terms = {(a, a + b): c for (a, b), c in f._terms.items()}
+        else:
+            terms = {(a + b, b): c for (a, b), c in f._terms.items()}
+        out.append(BiPoly(f.tower, terms))
+    return out
 
 
 def exact_div_power(polys, var: str, m: int):
@@ -906,5 +913,11 @@ def exact_div_power(polys, var: str, m: int):
 
 
 def deriv_eval(g: BiPoly, a: int, b: int, point) -> FieldElement:
-    """Evaluate the (a, b) mixed partial of g at a point."""
-    return g.derivative("u", a).derivative("v", b).eval(point)
+    """Evaluate the (a, b) mixed partial of g at a point.
+
+    That is a!*b! times the (a, b) coefficient of g expanded about the point.
+    """
+    if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+        raise InvalidInput("derivative orders must be nonnegative integers")
+    shifted = taylor_shift([g], point, a + b + 1)[0]
+    return shifted.coeff(a, b) * (factorial(a) * factorial(b))

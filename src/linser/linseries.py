@@ -9,9 +9,12 @@ conditions at once.
 
 from __future__ import annotations
 
+from math import factorial
+
 from . import _gauss
 from .baselocus import BasepointNode, BasepointTree, get_basepoints
-from .bipoly import BiPoly, common_tower, deriv_eval, pullback_blowup
+from .bipoly import BiPoly, common_tower, pullback_blowup, taylor_shift
+from .bipoly import deriv_eval  # noqa: F401  (the benchmark's tracer wraps it here)
 from .errors import InvalidInput, NoAdjoint
 from .numfield import QQ, FieldTower
 
@@ -112,22 +115,15 @@ class LinearSeries:
 class ConstraintMatrix:
     """Vanishing conditions, one row per derivative order per tree node."""
 
-    __slots__ = ("rows", "ncols", "tower", "tags")
+    __slots__ = ("rows", "ncols", "tower")
 
-    def __init__(self, rows, ncols, tower, tags):
+    def __init__(self, rows, ncols, tower):
         self.rows = tuple(tuple(r) for r in rows)
         self.ncols = ncols
         self.tower = tower
-        self.tags = tuple(tags)
 
     def __repr__(self):
         return f"<ConstraintMatrix {len(self.rows)}x{self.ncols}>"
-
-
-def _derivative_orders(m: int):
-    for a in range(m):
-        for b in range(m - a):
-            yield (a, b)
 
 
 def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
@@ -135,10 +131,11 @@ def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
 
     Rows follow the tree's node order; each node contributes the
     m(m+1)/2 derivative rows of all orders a+b < m, taken on the current
-    transform of the generators.  Entering a branch pulls the transform
-    back through that chart and divides by the exceptional power,
-    discarding remainders (their vanishing is what the rows at the node
-    already encode).
+    transform of the generators: a!*b! times the (a, b) coefficients of
+    one expansion about the node, which a leaf needs only below degree m.
+    Entering a branch relabels that expansion into the chart and divides
+    by the exceptional power, discarding remainders (their vanishing is
+    what the rows at the node already encode).
     """
     if not isinstance(tree, BasepointTree):
         raise InvalidInput("expected a basepoint tree")
@@ -147,29 +144,31 @@ def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
     if not G.generators:
         raise InvalidInput("the series has no generators")
     t = common_tower(tree.tower, G.tower)
+    origin = (t.zero(), t.zero())
     rows = []
-    tags = []
 
     def visit(node: BasepointNode, polys):
         point = (node.point[0].embed(t), node.point[1].embed(t))
-        for a, b in _derivative_orders(node.mult):
-            rows.append(tuple(deriv_eval(g, a, b, point) for g in polys))
-            tags.append((node, (a, b)))
-        if node.children_t:
-            pulled = pullback_blowup(polys, point, "t")
-            divided = [f.shift_down("v", node.mult) for f in pulled]
-            for child in node.children_t:
-                visit(child, divided)
-        if node.children_s:
-            pulled = pullback_blowup(polys, point, "s")
-            divided = [f.shift_down("u", node.mult) for f in pulled]
-            for child in node.children_s:
-                visit(child, divided)
+        leaf = not node.children_t and not node.children_s
+        shifted = taylor_shift(polys, point, node.mult if leaf else None)
+        for a in range(node.mult):
+            for b in range(node.mult - a):
+                scale = factorial(a) * factorial(b)
+                rows.append(tuple(f.coeff(a, b) * scale for f in shifted))
+        for chart, var, children in (
+            ("t", "v", node.children_t),
+            ("s", "u", node.children_s),
+        ):
+            if children:
+                pulled = pullback_blowup(shifted, origin, chart)
+                divided = [f.shift_down(var, node.mult) for f in pulled]
+                for child in children:
+                    visit(child, divided)
 
     gens = [g.embed(t) for g in G.generators]
     for root in tree.roots:
         visit(root, gens)
-    return ConstraintMatrix(rows, len(gens), t, tags)
+    return ConstraintMatrix(rows, len(gens), t)
 
 
 def kernel_basis(M: ConstraintMatrix):

@@ -169,6 +169,22 @@ def test_multiplicity_matches_derivative_order():
         assert by_gcd == by_deriv == min(orders)
 
 
+def test_node_multiplicity_matches_gcd_path():
+    # get_basepoints reads each node's multiplicity off one expansion about
+    # the point; multiplicity() still takes it from a gcd of the pullback.
+    tower, _ = gaussian_pair()
+    systems = [
+        series(("v - u^6", "v^2")),
+        series(("v^2 - u^5", "u^6 + v^3")),
+        series(("v^3 - u^7", "v^2 - u^4")),
+        series(F_TEXTS, tower),
+    ]
+    for F in systems:
+        for node in get_basepoints(F).nodes():
+            transform = strict_transform(F, node.sequence)
+            assert node.mult == multiplicity(transform, node.point)
+
+
 def test_not_a_basepoint():
     F = series(F_TEXTS)
     with pytest.raises(NotABasepoint):

@@ -124,6 +124,17 @@ def test_substitute_and_eval():
     assert p.eval((one, one)) == QQ.rational(Fraction(2))
 
 
+def test_powers_of_high_degree():
+    # Power tables are built in a loop, so degrees past the interpreter's
+    # recursion limit are fine.
+    p = bp("u^1200 + v")
+    two = QQ.rational(2)
+    big = QQ.rational(2 ** 1200)
+    assert p.substitute("u", two) == UniPoly(QQ, "v", [big, 1])
+    assert p.eval((two, QQ.rational(3))) == big + 3
+    assert p.subs_polys(bp("v"), bp("u")) == bp("v^1200 + u")
+
+
 def test_exact_div():
     p = bp("u^2 - v^2")
     q = bp("u + v")
@@ -211,6 +222,13 @@ def test_resultant_matches_cofactor_oracle():
         checked += 1
 
 
+def _chart_substitution(tower, point, chart):
+    u = BiPoly.variable(tower, "u")
+    v = BiPoly.variable(tower, "v")
+    x, y = (BiPoly.constant(tower, c) for c in point)
+    return (v * u + x, v + y) if chart == "t" else (u + x, u * v + y)
+
+
 def test_pullback_is_ring_homomorphism():
     rng = random.Random(7)
     tower, _, i = extend_field(QQ, [1, 0, 1], "i")
@@ -225,6 +243,7 @@ def test_pullback_is_ring_homomorphism():
                 )
                 assert pf + pg == psum
                 assert pf * pg == pprod
+                assert pf == f.subs_polys(*_chart_substitution(tower, point, chart))
 
 
 def test_pullback_chart_shapes():

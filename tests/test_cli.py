@@ -226,6 +226,15 @@ def test_exit_4_on_depth_limit():
     assert out.stdout == b""
 
 
+def test_exit_4_on_depth_limit_of_high_degree_chain():
+    # a chain of 1200 infinitely near points, with degrees past the
+    # interpreter's recursion limit, stops cleanly at the depth bound
+    doc = {"series": ["v", "u^1200 + v"]}
+    out = run("basepoints", "-", stdin=json.dumps(doc).encode())
+    assert out.returncode == 4
+    assert b"Traceback" not in out.stderr
+
+
 def test_max_depth_raises_the_limit():
     out = run("series", gpath("deep_tree.json"), "--basis", "deg:1",
               "--max-depth", "64")
