@@ -172,11 +172,11 @@ def _prepare(F, tower: FieldTower | None):
 def multiplicity(F, point) -> int:
     """Order of vanishing at a point of a generic member of the system.
 
-    Zero when the point is not a basepoint.
+    Zero when the point is not a basepoint.  A system with a common
+    factor raises NonConstantGcd: its pullback gcd is not a power of v.
     """
     polys, t = _prepare(F, None)
-    g = gcd_tuple(pullback_blowup(polys, point, "t"))
-    return g.degree() if not g.is_constant() else 0
+    return _pure_power_degree(gcd_tuple(pullback_blowup(polys, point, "t")), "v")
 
 
 def strict_transform(F, sequence):

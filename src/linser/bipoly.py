@@ -1,13 +1,15 @@
 """Polynomials in u and v over a number field tower.
 
 BiPoly is a sparse bivariate polynomial with FieldElement coefficients.
-UniPoly is a dense univariate polynomial used for coefficient arithmetic,
-factoring and root work.  The module also provides the handful of global
-operations the blowup machinery needs: gcds, resultants, exact division
-by a power of a variable, and the one blowup primitive, taylor_shift,
-which expands polynomials about a shared center.  A chart pullback is
-that shift plus an exponent relabel; a derivative at a point is a
-coefficient of the shift times factorials.
+UniPoly is the one dense univariate kernel: coefficient arithmetic,
+factoring, root work, and field inversion (numfield inverts an element
+with UniPoly.inverse_mod).  The module also provides the handful of
+global operations the blowup machinery needs: gcds and resultants, both
+read off one subresultant PRS, exact division by a power of a variable,
+and the one blowup primitive, taylor_shift, which expands polynomials
+about a shared center.  A chart pullback is that shift plus an exponent
+relabel; a derivative at a point is a coefficient of the shift times
+factorials.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from math import comb, factorial
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    InvalidExtension,
     InvalidInput,
     NotDivisible,
 )
@@ -219,6 +222,22 @@ class UniPoly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
+
+    def inverse_mod(self, m: "UniPoly") -> "UniPoly":
+        """The u with u*self == 1 modulo an irreducible m, by extended Euclid."""
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero")
+        r0, u0 = m, UniPoly.zero(self.tower, self.var)
+        r1, u1 = self, UniPoly.one(self.tower, self.var)
+        while True:
+            q, r = r0.divmod(r1)
+            if r.is_zero():
+                break
+            r0, u0, r1, u1 = r1, u1, r, u0 - q * u1
+        if not r1.is_constant():
+            raise InvalidExtension("modulus is not irreducible over its tower")
+        inv = r1.lc().inverse()
+        return UniPoly(self.tower, self.var, [c * inv for c in u1.coeffs])
 
     def derivative(self) -> "UniPoly":
         return UniPoly(
@@ -710,27 +729,37 @@ def _primitive(coeffs, tower, other):
     ]
 
 
-def _prs_gcd(a, b, tower, other):
-    """Subresultant gcd of primitive dense lists; returns a primitive dense list."""
-    if len(a) < len(b):
-        a, b = b, a
-    g = UniPoly.one(tower, other)
-    h = UniPoly.one(tower, other)
+def _subresultant_prs(a, b, one):
+    """Brown's subresultant PRS of dense lists with deg a >= deg b >= 1.
+
+    Runs until the first pseudo-remainder that is zero or constant and
+    returns the state there, before that remainder is divided:
+    (b, rem, g, h, delta, sign), where b is the last nonconstant member
+    and sign is that of Res(a, b), flipped at each step whose two degrees
+    are both odd (Cohen, Algorithm 3.3.7).
+    """
+    g = h = one
+    sign = 1
     while True:
-        delta = (len(a) - 1) - (len(b) - 1)
+        delta = len(a) - len(b)
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            sign = -sign
         rem = _prem(a, b)
-        if not rem:
-            break
-        if len(rem) == 1:
-            return [UniPoly.one(tower, other)]
+        if len(rem) <= 1:
+            return b, rem, g, h, delta, sign
         divisor = g * h ** delta
         a, b = b, [c.exact_div(divisor) for c in rem]
         g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g ** delta).exact_div(h ** (delta - 1))
-    return _primitive(b, tower, other)[1]
+        h = _next_h(h, g, delta)
+
+
+def _next_h(h, g, delta):
+    """h^(1 - delta) * g^delta, the subresultant PRS's running scale."""
+    if delta == 0:
+        return h
+    if delta == 1:
+        return g
+    return (g ** delta).exact_div(h ** (delta - 1))
 
 
 def _gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
@@ -745,10 +774,14 @@ def _gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     cont_a, pa = _primitive(da, t, other)
     cont_b, pb = _primitive(db, t, other)
     cont = cont_a.gcd(cont_b)
-    if len(pa) == 1 or len(pb) == 1:
-        pg = [UniPoly.one(t, other)]
-    else:
-        pg = _prs_gcd(pa, pb, t, other)
+    one = UniPoly.one(t, other)
+    pg = [one]
+    if len(pa) > 1 and len(pb) > 1:
+        if len(pa) < len(pb):
+            pa, pb = pb, pa
+        last, rem, *_ = _subresultant_prs(pa, pb, one)
+        if not rem:
+            pg = _primitive(last, t, other)[1]
     result = _from_dense(pg, main, t)
     if not cont.is_constant():
         result = result * BiPoly.from_unipoly(cont, other)
@@ -777,37 +810,13 @@ def gcd_tuple(polys) -> BiPoly:
     return g.monic_lex()
 
 
-def _bareiss_det(mat, tower, other) -> UniPoly:
-    """Determinant of a square matrix of UniPoly via fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return UniPoly.one(tower, other)
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pr = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pr is None:
-                return UniPoly.zero(tower, other)
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * piv - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev) if prev is not None else num
-            m[i][k] = UniPoly.zero(tower, other)
-        prev = piv
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
 def resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
     """Resultant of f and g with respect to one variable.
 
-    Returns a UniPoly in the remaining variable.  The Sylvester matrix is
-    laid out with the block of g-coefficient rows on top.
+    Returns a UniPoly in the remaining variable.  The sign is that of the
+    Sylvester matrix laid out with the block of g-coefficient rows on top,
+    that is Res(g, f) in the usual order.  The value is read off the
+    subresultant PRS that also serves the gcd.
     """
     _check_var(eliminate)
     t = common_tower(f.tower, g.tower)
@@ -824,16 +833,21 @@ def resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
         return f.as_unipoly(other) ** m
     if m == 0:
         return g.as_unipoly(other) ** n
-    fc = _dense_main(f, eliminate)[::-1]
-    gc = _dense_main(g, eliminate)[::-1]
-    size = n + m
-    zero = UniPoly.zero(t, other)
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + gc + [zero] * (size - (m + 1) - i))
-    for i in range(m):
-        rows.append([zero] * i + fc + [zero] * (size - (n + 1) - i))
-    return _bareiss_det(rows, t, other)
+    # Res(g, f) = (-1)^(nm) Res(f, g); the PRS wants the larger degree first
+    a, b = _dense_main(g, eliminate), _dense_main(f, eliminate)
+    swap = 1
+    if m < n:
+        a, b = b, a
+        swap = -1 if n * m % 2 else 1
+    last, rem, g_prs, h, delta, sign = _subresultant_prs(a, b, UniPoly.one(t, other))
+    if not rem:
+        return UniPoly.zero(t, other)
+    # the one constant step the loop leaves undone
+    rem = rem[0].exact_div(g_prs * h ** delta)
+    h = _next_h(h, last[-1], delta)
+    d = len(last) - 1
+    res = (rem ** d).exact_div(h ** (d - 1))
+    return res if sign * swap > 0 else -res
 
 
 def taylor_shift(polys, point, order: int | None = None):

@@ -4,6 +4,9 @@ A tower QQ(a_1, ..., a_k) is described by an ordered list of generators,
 each a root of a monic irreducible polynomial over the tower below it.
 Elements are kept as reduced multivariate polynomials in the generators
 with rational coefficients, so equality is plain dictionary comparison.
+An element is inverted as a polynomial in the top generator, modulo that
+generator's minimal polynomial, by bipoly.UniPoly.inverse_mod over the
+tower below.
 """
 
 from __future__ import annotations
@@ -228,6 +231,11 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            # no element mutates its terms, so the dict can be shared
+            return FieldElement(self.tower, other._terms)
         terms = dict(self._terms)
         for e, c in other._terms.items():
             q = terms.get(e, _ZERO) + c
@@ -282,11 +290,12 @@ class FieldElement:
         gens = tower._gens
         if not gens:
             return FieldElement(tower, {(): _ONE / self._terms[()]})
+        from .bipoly import UniPoly  # deferred: bipoly depends on this module
+
         sub = tower.subtower(len(gens) - 1)
-        a = self._top_dense(sub)
-        m = [c for c in gens[-1].minpoly]
-        inv = _dense_invmod(a, m, sub)
-        return self._from_top_dense(tower, inv)
+        a = UniPoly(sub, "t", self._top_dense(sub))
+        inv = a.inverse_mod(UniPoly(sub, "t", gens[-1].minpoly))
+        return self._from_top_dense(tower, inv.coeffs)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -399,56 +408,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.tower!r}>"
-
-
-# -- dense univariate helpers over a tower (used only for inversion) --------
-
-
-def _dense_trim(a: list) -> list:
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _dense_divmod(a: list, b: list, tower: FieldTower):
-    a = list(a)
-    b = _dense_trim(list(b))
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    inv_lead = b[-1].inverse()
-    q = [tower.zero()] * max(0, len(a) - len(b) + 1)
-    r = _dense_trim(a)
-    while len(r) >= len(b):
-        f = r[-1] * inv_lead
-        k = len(r) - len(b)
-        q[k] = f
-        for i, bc in enumerate(b):
-            r[k + i] = r[k + i] - f * bc
-        _dense_trim(r)
-    return q, r
-
-
-def _dense_invmod(a: list, m: list, tower: FieldTower) -> list:
-    """u with u*a == 1 modulo m, for m monic irreducible and a nonzero."""
-    r0, u0 = list(m), [tower.zero()]
-    r1, u1 = _dense_trim(list(a)), [tower.one()]
-    if not r1:
-        raise DivisionByZero("inverse of zero")
-    while True:
-        q, r = _dense_divmod(r0, r1, tower)
-        if not r:
-            break
-        u = list(u0)
-        while len(u) < len(q) + len(u1):
-            u.append(tower.zero())
-        for i, qc in enumerate(q):
-            for j, uc in enumerate(u1):
-                u[i + j] = u[i + j] - qc * uc
-        r0, u0, r1, u1 = r1, u1, r, _dense_trim(u)
-    if len(r1) != 1:
-        raise InvalidExtension("modulus is not irreducible over its tower")
-    c = r1[0].inverse()
-    return [x * c for x in u1]
 
 
 # -- extensions ---------------------------------------------------------------

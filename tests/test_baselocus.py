@@ -17,6 +17,7 @@ from linser.baselocus import (
 from linser.bipoly import BiPoly, deriv_eval, pullback_blowup
 from linser.errors import (
     InvalidInput,
+    NonConstantGcd,
     NotABasepoint,
     RecursionLimitExceeded,
 )
@@ -134,6 +135,16 @@ def test_multiplicity_values():
     assert multiplicity(G, (QQ.zero(), QQ.zero())) == 2
     tower, i = gaussian_pair()
     assert multiplicity(series(F_TEXTS, tower), (tower.one(), i)) == 1
+
+
+def test_multiplicity_rejects_common_factor():
+    # Both systems share the factor u.  Read off the pullback gcd's total
+    # degree, they gave 3 and 2 where a generic member has order 2 and 1.
+    origin = (QQ.zero(), QQ.zero())
+    with pytest.raises(NonConstantGcd):
+        multiplicity(series(("u^2 - u*v", "u*v")), origin)
+    with pytest.raises(NonConstantGcd):
+        multiplicity(series(("u*(v - 1)", "u*(v + 1)")), (QQ.zero(), QQ.one()))
 
 
 def test_multiplicity_matches_derivative_order():

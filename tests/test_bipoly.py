@@ -16,7 +16,7 @@ from linser.bipoly import (
     resultant,
     uni_gcd_list,
 )
-from linser.errors import InvalidInput, NotDivisible
+from linser.errors import DivisionByZero, InvalidExtension, InvalidInput, NotDivisible
 from linser.numfield import QQ, extend_field
 from linser.parsing import parse_bipoly, parse_unipoly
 
@@ -81,6 +81,18 @@ def test_unipoly_compose():
     p = parse_unipoly("t^2 + 1", QQ, "t")
     q = parse_unipoly("t - 2", QQ, "t")
     assert str(p.compose(q)) == "t^2 - 4*t + 5"
+
+
+def test_inverse_mod():
+    m = parse_unipoly("t^3 - 2", QQ, "t")
+    a = parse_unipoly("t^2 + t + 1", QQ, "t")
+    inv = a.inverse_mod(m)
+    assert inv.degree() < 3
+    assert (a * inv) % m == UniPoly.one(QQ, "t")
+    with pytest.raises(DivisionByZero):
+        UniPoly.zero(QQ, "t").inverse_mod(m)
+    with pytest.raises(InvalidExtension):
+        parse_unipoly("t + 1", QQ, "t").inverse_mod(parse_unipoly("t^2 - 1", QQ, "t"))
 
 
 def test_shifted_reverse():
@@ -199,27 +211,110 @@ def test_resultant_degenerate_cases():
         resultant(BiPoly.zero(QQ), bp("v"), "v")
 
 
-def _random_bipoly(rng, tower, max_deg=3):
+def _random_coeff(rng, tower, gen=None):
+    c = tower.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    if gen is not None:
+        c = c + gen * Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    return c
+
+
+def _random_bipoly(rng, tower, max_deg=3, gen=None):
     p = BiPoly.zero(tower)
     for _ in range(rng.randint(1, 5)):
         du = rng.randint(0, max_deg)
         dv = rng.randint(0, max_deg - du)
-        c = tower.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        c = _random_coeff(rng, tower, gen)
         mono = BiPoly.variable(tower, "u") ** du * BiPoly.variable(tower, "v") ** dv
         p = p + mono * BiPoly.constant(tower, c)
     return p
 
 
+def _prs_pair(rng, tower, gen, var, dg, dq, dr):
+    """(q*g + r, g) with degrees dq, dg, dr < dg in var.
+
+    The first pseudo-remainder is lc(g)^k * r, so the PRS steps from degree
+    dg to dr there.  Every leading coefficient is linear in the other
+    variable, so the PRS scales are not constants.
+    """
+    x = BiPoly.variable(tower, var)
+    y = BiPoly.variable(tower, "v" if var == "u" else "u")
+
+    def c():
+        return BiPoly.constant(tower, _random_coeff(rng, tower, gen))
+
+    def poly(deg):
+        return (y + c()) * x ** deg + sum(((c() * y + c()) * x ** k for k in range(deg)), c())
+
+    g = poly(dg)
+    return poly(dq) * g + poly(dr), g
+
+
 def test_resultant_matches_cofactor_oracle():
     rng = random.Random(20260816)
-    checked = 0
-    while checked < 40:
-        f = _random_bipoly(rng, QQ)
-        g = _random_bipoly(rng, QQ)
-        if f.degree("v") < 1 or g.degree("v") < 1:
+    tower, _, s = extend_field(QQ, [-2, 0, 1], "s")
+    pairs = []
+    for field, gen in ((QQ, None), (tower, s)):
+        for _ in range(20):
+            pairs.append((_random_bipoly(rng, field, gen=gen), _random_bipoly(rng, field, gen=gen)))
+        for var in ("u", "v"):
+            # PRS degrees 3, 3, 1 (a drop of two) and 3, 3, 2, 0 (a drop of two at the end)
+            pairs += [_prs_pair(rng, field, gen, var, 3, 0, 1) for _ in range(2)]
+            pairs += [_prs_pair(rng, field, gen, var, 3, 0, 2) for _ in range(2)]
+    checked = swapped = 0
+    for f, g in pairs:
+        for var in ("u", "v"):
+            if f.degree(var) < 1 or g.degree(var) < 1:
+                continue
+            assert resultant(f, g, var) == sylvester_oracle(f, g, var)
+            checked += 1
+            swapped += f.degree(var) < g.degree(var)
+    assert checked >= 60 and swapped >= 10
+
+
+# A second oracle where sympy is installed.  Ours is Res(g, f) in the usual
+# order, because the Sylvester layout has g's rows on top.  sympy's
+# resultant(p, q, x) is Res(p, q) only when deg p >= deg q: otherwise it
+# swaps the two without the sign (-1)^(nm).  So sympy gets the larger
+# degree first.
+
+
+def _to_sympy(f, u, v):
+    import sympy
+
+    total = sympy.Integer(0)
+    for (du, dv), c in f.terms().items():
+        q = c.as_rational()
+        total += sympy.Rational(q.numerator, q.denominator) * u ** du * v ** dv
+    return total
+
+
+def test_resultant_and_gcd_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    u, v = sympy.symbols("u v")
+    rng = random.Random(4242)
+    pairs = [(_random_bipoly(rng, QQ, max_deg=4), _random_bipoly(rng, QQ, max_deg=4))
+             for _ in range(30)]
+    # degrees 5, 4, 2: a scale h != 1 meets a step that drops two degrees
+    pairs += [_prs_pair(rng, QQ, None, var, 4, 1, 2) for var in ("u", "v") for _ in range(2)]
+    for f, g in pairs:
+        h = _random_bipoly(rng, QQ, max_deg=2)
+        if f.is_zero() or g.is_zero() or h.is_zero():
             continue
-        assert resultant(f, g, "v") == sylvester_oracle(f, g, "v")
-        checked += 1
+        sf, sg = _to_sympy(f, u, v), _to_sympy(g, u, v)
+        for name, x in (("u", u), ("v", v)):
+            n, m = f.degree(name), g.degree(name)
+            if n < 1 or m < 1:
+                continue
+            if m >= n:
+                theirs = sympy.resultant(sg, sf, x)
+            else:
+                theirs = sympy.resultant(sf, sg, x) * (-1) ** (n * m)
+            ours = _to_sympy(BiPoly.from_unipoly(resultant(f, g, name)), u, v)
+            assert sympy.expand(ours - theirs) == 0
+        ours = _to_sympy(gcd_tuple([f * h, g * h]), u, v)
+        theirs = sympy.gcd(_to_sympy(f * h, u, v), _to_sympy(g * h, u, v))
+        ratio = sympy.cancel(ours / theirs)
+        assert ratio.free_symbols == set() and ratio != 0
 
 
 def _chart_substitution(tower, point, chart):

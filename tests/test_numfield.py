@@ -1,5 +1,6 @@
 """Tests for exact arithmetic in towers of number fields."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,23 @@ def test_nested_tower():
     # inversion still exact two levels up
     z = ii + s
     assert z * z.inverse() == tower2.one()
+    # under a cubic top generator, r^3 = i*r + 1, the Euclid on its minimal
+    # polynomial runs several steps with coefficients in Q(i)
+    tower3, emb3, r = extend_field(tower, [-1, -i, 0, 1], "r")
+    assert tower3.degree() == 6
+    rng = random.Random(3)
+    checked = 0
+    while checked < 20:
+        z = tower3.zero()
+        for a in range(2):
+            for b in range(3):
+                z = z + emb3(i) ** a * r ** b * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if z.is_zero():
+            continue
+        inv = z.inverse()
+        assert z * inv == tower3.one()
+        assert inv.inverse() == z
+        checked += 1
 
 
 def test_embed_and_subtower():
