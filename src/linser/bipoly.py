@@ -14,6 +14,7 @@ factorials.
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 from math import comb, factorial
 
@@ -24,7 +25,7 @@ from .errors import (
     InvalidInput,
     NotDivisible,
 )
-from .numfield import QQ, FieldElement, FieldTower, Rational
+from .numfield import QQ, FieldElement, FieldTower, Rational, render_terms
 
 VARS = ("u", "v")
 
@@ -63,10 +64,7 @@ class UniPoly:
     def __init__(self, tower: FieldTower, var: str, coeffs):
         self.tower = tower
         self.var = var
-        cs = [self._coerce_coeff(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim([self._coerce_coeff(c) for c in coeffs]))
 
     def _coerce_coeff(self, c) -> FieldElement:
         if isinstance(c, FieldElement):
@@ -139,10 +137,13 @@ class UniPoly:
             return self, other
         return self.embed(other.tower), other
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
         a, b = self._pair(other)
         n = max(len(a.coeffs), len(b.coeffs))
-        return UniPoly(a.tower, a.var, [a.coeff(k) + b.coeff(k) for k in range(n)])
+        return UniPoly(a.tower, a.var, [op(a.coeff(k), b.coeff(k)) for k in range(n)])
+
+    def __add__(self, other):
+        return self._termwise(other, operator.add)
 
     __radd__ = __add__
 
@@ -150,7 +151,7 @@ class UniPoly:
         return UniPoly(self.tower, self.var, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._pair(other)[1])
+        return self._termwise(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -160,10 +161,11 @@ class UniPoly:
         if a.is_zero() or b.is_zero():
             return UniPoly.zero(a.tower, a.var)
         out = [a.tower.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
+        nonzero_b = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
         for i, ca in enumerate(a.coeffs):
             if ca.is_zero():
                 continue
-            for j, cb in enumerate(b.coeffs):
+            for j, cb in nonzero_b:
                 out[i + j] = out[i + j] + ca * cb
         return UniPoly(a.tower, a.var, out)
 
@@ -195,8 +197,7 @@ class UniPoly:
             q[shift] = factor
             for k in range(db + 1):
                 rem[shift + k] = rem[shift + k] - factor * b.coeffs[k]
-            while rem and rem[-1].is_zero():
-                rem.pop()
+            _trim(rem)
         return UniPoly(a.tower, a.var, q), UniPoly(a.tower, a.var, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
@@ -303,7 +304,7 @@ class UniPoly:
 
     def __str__(self) -> str:
         items = [((k,), c) for k, c in enumerate(self.coeffs) if not c.is_zero()]
-        return _render_terms(items[::-1], (self.var,))
+        return render_terms(items[::-1], (self.var,))
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -594,7 +595,7 @@ class BiPoly:
     def __str__(self) -> str:
         items = [((du, dv), c) for (du, dv), c in self._terms.items()]
         items.sort(key=lambda t: t[0], reverse=True)
-        return _render_terms(items, ("u", "v"))
+        return render_terms(items, ("u", "v"))
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
@@ -606,53 +607,6 @@ def _powers(base, n: int, one) -> list:
     for _ in range(n):
         out.append(out[-1] * base)
     return out
-
-
-def _render_terms(items, varnames) -> str:
-    """Shared rendering for UniPoly and BiPoly.
-
-    items: list of (exponent tuple, nonzero FieldElement), already ordered.
-    """
-    if not items:
-        return "0"
-    pieces = []
-    for exps, c in items:
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(varnames, exps)
-            if e > 0
-        )
-        sign, body = _render_coeff(c, mono)
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign < 0 else "") + first_body
-    for sign, body in pieces[1:]:
-        out += (" - " if sign < 0 else " + ") + body
-    return out
-
-
-def _render_coeff(c: FieldElement, mono: str):
-    """Render one term as (sign, body without sign)."""
-    terms = c._terms
-    if len(terms) > 1:
-        body = f"({c})"
-        return 1, f"{body}*{mono}" if mono else body
-    ((exps, q),) = terms.items()
-    sign = -1 if q < 0 else 1
-    mag = -q if q < 0 else q
-    gen_part = "*".join(
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(c.tower.names(), exps)
-        if e > 0
-    )
-    factors = []
-    if mag != 1 or (not gen_part and not mono):
-        factors.append(str(mag))
-    if gen_part:
-        factors.append(gen_part)
-    if mono:
-        factors.append(mono)
-    return sign, "*".join(factors)
 
 
 def uni_gcd_list(polys) -> UniPoly:

@@ -24,9 +24,12 @@ from .errors import (
     NonConstantGcd,
     NotABasepoint,
     ParseError,
+    SizeLimitExceeded,
 )
 from .linseries import Bidegree, LinearSeries, TotalDegree
 from .numfield import QQ
+
+MAX_BASIS_DEGREE = 100  # complete at deg:100 takes seconds, at deg:200 over a minute
 
 _SERIES_FIELDS = {"variables", "extensions", "series", "chart", "sequence"}
 
@@ -94,19 +97,23 @@ def _basis_spec(text: str):
     if text.startswith("deg:"):
         body = text[len("deg:"):]
         try:
-            return TotalDegree(int(body))
+            degrees = [int(body)]
         except ValueError:
             raise InvalidInput(f"bad total degree {body!r}") from None
-    if text.startswith("bideg:"):
+    elif text.startswith("bideg:"):
         body = text[len("bideg:"):]
         parts = body.split(",")
         if len(parts) != 2:
             raise InvalidInput("bidegree must look like bideg:A,B")
         try:
-            return Bidegree(int(parts[0]), int(parts[1]))
+            degrees = [int(parts[0]), int(parts[1])]
         except ValueError:
             raise InvalidInput(f"bad bidegree {body!r}") from None
-    raise InvalidInput(f"unknown basis spec {text!r}; use deg:N or bideg:A,B")
+    else:
+        raise InvalidInput(f"unknown basis spec {text!r}; use deg:N or bideg:A,B")
+    if max(degrees) > MAX_BASIS_DEGREE:
+        raise SizeLimitExceeded(f"basis {text} exceeds degree {MAX_BASIS_DEGREE}")
+    return TotalDegree(*degrees) if len(degrees) == 1 else Bidegree(*degrees)
 
 
 def _series_json(polys, tower):

@@ -49,6 +49,10 @@ class RecursionLimitExceeded(LinserError):
     """A blowup or tree recursion went deeper than the configured bound."""
 
 
+class SizeLimitExceeded(LinserError):
+    """An exponent or basis degree in the input passes a fixed bound."""
+
+
 class BasisMismatch(LinserError):
     """Lattice classes expressed in different bases cannot be combined."""
 

@@ -367,18 +367,12 @@ def _factor_int_monic_squarefree(g):
 # -- rational and tower factorization ----------------------------------------------
 
 
-def _rational_coeffs(f: UniPoly):
-    return [c.as_rational() for c in f.coeffs]
-
-
 def _factor_rational_squarefree(f: UniPoly):
     """Monic irreducible factors of a monic squarefree UniPoly over QQ."""
     if f.degree() <= 1:
         return [f]
-    coeffs = _rational_coeffs(f)
-    b = 1
-    for c in coeffs:
-        b = b * c.denominator // math.gcd(b, c.denominator)
+    coeffs = [c.as_rational() for c in f.coeffs]
+    b = math.lcm(*(c.denominator for c in coeffs))
     n = len(coeffs) - 1
     g = [int(coeffs[i] * b ** (n - i)) for i in range(n + 1)]
     parts = _factor_int_monic_squarefree(g)
@@ -404,58 +398,29 @@ def _shifts():
 
 @lru_cache(maxsize=None)
 def _tower_data(tower: FieldTower):
-    """Primitive element data: (gamma, minpoly coeffs over QQ, P inverse, basis)."""
-    gens = tower._gens
-    basis = list(itertools.product(*[range(g.degree) for g in gens]))
-    index = {e: i for i, e in enumerate(basis)}
-    dim = len(basis)
+    """Primitive element data: (gamma, minpoly coeffs over QQ, coordinates map)."""
+    dim = tower.degree()
 
-    def coords(x: FieldElement):
-        vec = [Rational(0)] * dim
-        for e, c in x._terms.items():
-            vec[index[e]] = c
-        return vec
-
-    def minpoly_of(elem: FieldElement):
-        rows = [coords(tower.one())]
-        power = tower.one()
-        for k in range(1, dim + 1):
+    def powers(elem: FieldElement, count: int):
+        """Coordinate rows of elem^0, ..., elem^(count - 1) over QQ."""
+        rows, power = [], tower.one()
+        for _ in range(count):
+            rows.append([Rational(c, power.den) for c in power.num])
             power = power * elem
-            target = coords(power)
-            aug = [
-                [rows[i][j] for i in range(len(rows))] + [target[j]]
-                for j in range(dim)
-            ]
-            reduced, pivots = _gauss.rref(aug)
-            if len(rows) not in pivots:
-                if pivots != list(range(len(rows))):
-                    return None
-                sol = [reduced[i][len(rows)] for i in range(len(rows))]
-                return [-c for c in sol] + [Rational(1)]
-            rows.append(target)
-        return None
+        return rows
 
+    # gen(j) + c*gamma generates the first j + 1 levels exactly when its
+    # powers below that subtower's degree are independent
     gamma = tower.gen(0)
-    expected = gens[0].degree
-    for j in range(1, len(gens)):
-        expected *= gens[j].degree
+    for j in range(1, tower.width):
+        expected = tower.subtower(j + 1).degree()
         for c in _shifts():
             cand = tower.gen(j) + c * gamma
-            mp = minpoly_of(cand)
-            if mp is not None and len(mp) - 1 == expected:
+            if _gauss.rank(powers(cand, expected)) == expected:
                 gamma = cand
                 break
-        else:
-            raise InvalidInput("no primitive element found")
-    minpoly = minpoly_of(gamma)
-    if minpoly is None or len(minpoly) - 1 != dim:
-        raise InvalidInput("primitive element search failed")
 
-    pmat = []
-    power = tower.one()
-    for i in range(dim):
-        pmat.append(coords(power))
-        power = power * gamma
+    pmat = powers(gamma, dim)
     aug = [row + [Rational(int(i == j)) for j in range(dim)] for i, row in enumerate(pmat)]
     reduced, pivots = _gauss.rref(aug)
     if pivots != list(range(dim)):
@@ -463,13 +428,15 @@ def _tower_data(tower: FieldTower):
     pinv = [row[dim:] for row in reduced]
 
     def express(x: FieldElement):
-        vec = coords(x)
+        vec = [Rational(c, x.den) for c in x.num]
         return [
             sum(vec[j] * pinv[j][k] for j in range(dim))
             for k in range(dim)
         ]
 
-    return gamma, tuple(minpoly), pinv, index, express
+    # gamma^dim in the power basis gives the minimal polynomial
+    minpoly = [-c for c in express(gamma**dim)] + [Rational(1)]
+    return gamma, tuple(minpoly), express
 
 
 def _factor_tower_squarefree(f: UniPoly):
@@ -477,8 +444,7 @@ def _factor_tower_squarefree(f: UniPoly):
     tower = f.tower
     if f.degree() <= 1:
         return [f]
-    gamma, minpoly, _, _, express = _tower_data(tower)
-    dim = len(minpoly) - 1
+    gamma, minpoly, express = _tower_data(tower)
 
     fhat_terms = {}
     for k, c in enumerate(f.coeffs):

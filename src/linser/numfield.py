@@ -2,17 +2,27 @@
 
 A tower QQ(a_1, ..., a_k) is described by an ordered list of generators,
 each a root of a monic irreducible polynomial over the tower below it.
-Elements are kept as reduced multivariate polynomials in the generators
-with rational coefficients, so equality is plain dictionary comparison.
-An element is inverted as a polynomial in the top generator, modulo that
-generator's minimal polynomial, by bipoly.UniPoly.inverse_mod over the
-tower below.
+An element is an integer numerator vector on the power-product basis
+a_1^e_1 * ... * a_k^e_k (0 <= e_j < deg a_j), top generator slowest, and
+one common denominator.  So the basis of a subtower is a prefix (embedding
+pads zeros) and the coefficient of a_k^i is one contiguous block.  The
+denominator is positive, gcd(denominator, *numerator) == 1 and the
+numerator's length is the tower's degree; this form is canonical, so
+equality compares numerators and denominators.
+
+A product is one integer convolution on exponents, then one pass over a
+per-tower table, built on first use, that rewrites each monomial past a
+generator's degree in the basis.  An element is inverted as a polynomial
+in the top generator, modulo that generator's minimal polynomial, by
+bipoly.UniPoly.inverse_mod over the tower below.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from math import gcd, lcm
+from operator import add, neg, sub
+from typing import Callable
 
 from .errors import (
     ConjugationUnavailable,
@@ -24,46 +34,39 @@ from .errors import (
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 _RESERVED_NAMES = {"u", "v", "t"}
 
 
 class _Generator:
     """One tower level: a named root of a monic polynomial over the levels below."""
 
-    __slots__ = ("name", "minpoly", "degree", "tail", "_key")
+    __slots__ = ("name", "minpoly", "degree", "exponents", "table", "key")
 
-    def __init__(self, name: str, minpoly: tuple["FieldElement", ...]):
+    def __init__(self, name: str, minpoly: tuple["FieldElement", ...], below: "FieldTower"):
         # minpoly: full monic coefficient tuple, low degree first, entries in
-        # the subtower this generator sits on top of.
+        # the subtower ``below`` this generator sits on top of.
         self.name = name
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
-        # alpha^degree rewritten as terms of lower alpha-powers; exponent
-        # tuples here have width (subtower width + 1).
-        tail: dict[tuple[int, ...], Fraction] = {}
-        for i in range(self.degree):
-            for exps, q in minpoly[i]._terms.items():
-                key = exps + (i,)
-                tail[key] = tail.get(key, _ZERO) - q
-        self.tail = {e: q for e, q in tail.items() if q}
-        self._key = (name, tuple(tuple(sorted(c._terms.items())) for c in minpoly))
-
-    def key(self):
-        return self._key
+        # basis exponent tuples of the tower this generator tops, in
+        # numerator order
+        self.exponents = tuple(
+            e + (i,) for i in range(self.degree) for e in below.exponents()
+        )
+        self.table = None
+        self.key = (name, tuple((c.num, c.den) for c in minpoly))
 
 
 class FieldTower:
     """An ordered tower of simple extensions of QQ.  Immutable."""
 
-    __slots__ = ("_gens", "_key", "_hash")
+    __slots__ = ("_gens", "_key", "_hash", "_degree")
 
     def __init__(self, gens: tuple[_Generator, ...] = ()):
         self._gens = gens
-        self._key = tuple(g.key() for g in gens)
+        self._key = tuple(g.key for g in gens)
         self._hash = hash(self._key)
+        self._degree = len(gens[-1].exponents) if gens else 1
 
     @classmethod
     def rationals(cls) -> "FieldTower":
@@ -82,10 +85,11 @@ class FieldTower:
 
     def degree(self) -> int:
         """Absolute degree over QQ."""
-        d = 1
-        for g in self._gens:
-            d *= g.degree
-        return d
+        return self._degree
+
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        """Exponent tuples of the power-product basis, in numerator order."""
+        return self._gens[-1].exponents if self._gens else ((),)
 
     def subtower(self, k: int) -> "FieldTower":
         return FieldTower(self._gens[:k])
@@ -98,29 +102,28 @@ class FieldTower:
         return len(self._gens) >= n and self._key[:n] == other._key
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, {})
+        return FieldElement(self, (0,) * self._degree, 1)
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, {(0,) * self.width: _ONE})
+        return self.rational(1)
 
     def rational(self, q) -> "FieldElement":
+        pad = (0,) * (self._degree - 1)
+        if type(q) is int:
+            return FieldElement(self, (q,) + pad, 1)
         q = Fraction(q)
-        if not q:
-            return self.zero()
-        return FieldElement(self, {(0,) * self.width: q})
+        return FieldElement(self, (q.numerator,) + pad, q.denominator)
 
     def gen(self, which) -> "FieldElement":
         """The generator at an index, or by name."""
         if isinstance(which, str):
-            for j, g in enumerate(self._gens):
-                if g.name == which:
-                    which = j
-                    break
-            else:
+            if which not in self.names():
                 raise InvalidInput(f"no generator named {which!r}")
+            which = self.names().index(which)
         j = range(self.width)[which]
-        exps = tuple(1 if i == j else 0 for i in range(self.width))
-        return FieldElement(self, {exps: _ONE})
+        num = [0] * self._degree
+        num[self.subtower(j)._degree] = 1
+        return FieldElement(self, tuple(num), 1)
 
     def fresh_name(self) -> str:
         used = set(self.names()) | _RESERVED_NAMES
@@ -128,6 +131,32 @@ class FieldTower:
         while f"a{n}" in used:
             n += 1
         return f"a{n}"
+
+    def _mul_table(self):
+        """(slots, size, over, scale) of a tower of width >= 1, built on first use.
+
+        slots[i][j] places the exponent sum of basis elements i and j among
+        the ``size`` exponent tuples a product reaches, the basis first;
+        ``over`` maps each place past the basis to ``scale`` times its
+        monomial in the basis, as sparse (index, integer) pairs."""
+        top = self._gens[-1]
+        if top.table is None:
+            exps = self.exponents()
+            places = {e: i for i, e in enumerate(exps)}
+            slots = tuple(
+                tuple(
+                    places.setdefault(tuple(map(add, a, b)), len(places)) for b in exps
+                )
+                for a in exps
+            )
+            reached = [(i, _monomial(self, e)) for e, i in places.items() if i >= len(exps)]
+            scale = lcm(*(m.den for _, m in reached))
+            over = tuple(
+                (i, tuple((k, x * (scale // m.den)) for k, x in enumerate(m.num) if x))
+                for i, m in reached
+            )
+            top.table = (slots, len(places), over, scale)
+        return top.table
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -148,49 +177,55 @@ class FieldTower:
 QQ = FieldTower.rationals()
 
 
-def _reduce(tower: FieldTower, terms: dict) -> dict:
-    """Rewrite generator exponents below their minimal polynomial degrees.
+def _monomial(tower: FieldTower, exps: tuple[int, ...]) -> "FieldElement":
+    """a_1^e_1 * ... * a_k^e_k in the basis, by products in the tower below
+    and one division by the top generator's minimal polynomial."""
+    from .bipoly import UniPoly  # deferred: bipoly depends on this module
 
-    Processes levels from the top down; a rewrite at level j only touches
-    exponents at levels <= j, so one downward pass settles everything.
-    """
-    gens = tower._gens
-    width = len(gens)
-    for j in range(width - 1, -1, -1):
-        d = gens[j].degree
-        while True:
-            over = [(e, c) for e, c in terms.items() if e[j] >= d]
-            if not over:
-                break
-            tail = gens[j].tail
-            for e, c in over:
-                del terms[e]
-                base = list(e)
-                base[j] -= d
-                for te, tq in tail.items():
-                    ne = list(base)
-                    for i, ti in enumerate(te):
-                        ne[i] += ti
-                    ne = tuple(ne)
-                    q = terms.get(ne, _ZERO) + c * tq
-                    if q:
-                        terms[ne] = q
-                    elif ne in terms:
-                        del terms[ne]
-    return terms
+    below = tower.subtower(tower.width - 1)
+    low = below.one()
+    for j, k in enumerate(exps[:-1]):
+        low = low * below.gen(j) ** k
+    top = UniPoly(below, "t", [0] * exps[-1] + [low])
+    power = top % UniPoly(below, "t", tower._gens[-1].minpoly)
+    return FieldElement._from_top_dense(tower, power.coeffs)
+
+
+def _normal(tower: FieldTower, num, den: int) -> "FieldElement":
+    """The element num / den, for den > 0, with the gcd divided out."""
+    g = gcd(den, *num)
+    if g == 1:
+        return FieldElement(tower, tuple(num), den)
+    return FieldElement(tower, tuple([x // g for x in num]), den // g)
+
+
+def _sum(x: "FieldElement", y: "FieldElement", op) -> "FieldElement":
+    """x + y for op = add, x - y for op = sub, over x's tower."""
+    b = y.num
+    if not any(b):
+        return x
+    a = x.num
+    if not any(a) and op is add:
+        return FieldElement(x.tower, b, y.den)
+    da, db = x.den, y.den
+    if da == db:
+        return _normal(x.tower, tuple(map(op, a, b)), da)
+    g = gcd(da, db)
+    ma, mb = db // g, da // g
+    return _normal(x.tower, [op(p * ma, q * mb) for p, q in zip(a, b)], da * ma)
 
 
 class FieldElement:
-    """An element of a FieldTower, in reduced canonical form."""
+    """An element of a FieldTower: numerator vector over one denominator."""
 
-    __slots__ = ("tower", "_terms", "_hash")
+    __slots__ = ("tower", "num", "den")
 
-    def __init__(self, tower: FieldTower, terms: dict):
-        # terms must already be reduced and free of zero coefficients;
+    def __init__(self, tower: FieldTower, num: tuple[int, ...], den: int):
+        # (num, den) must already satisfy the module's invariants;
         # construction goes through the tower factories or arithmetic below.
         self.tower = tower
-        self._terms = terms
-        self._hash = None
+        self.num = num
+        self.den = den
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -206,90 +241,97 @@ class FieldElement:
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        if not self._terms:
-            return True
-        zero_key = (0,) * self.tower.width
-        return set(self._terms) == {zero_key}
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
-        if not self._terms:
-            return _ZERO
-        zero_key = (0,) * self.tower.width
-        if set(self._terms) == {zero_key}:
-            return self._terms[zero_key]
-        raise InvalidInput(f"{self} is not rational")
+        if any(self.num[1:]):
+            raise InvalidInput(f"{self} is not rational")
+        return Fraction(self.num[0], self.den)
+
+    def terms(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """Nonzero terms as (exponent tuple, numerator, denominator) in
+        lowest terms, highest exponents first."""
+        out = []
+        for e, x in zip(self.tower.exponents(), self.num):
+            if x:
+                g = gcd(x, self.den)
+                out.append((e, x // g, self.den // g))
+        out.sort(reverse=True)
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            # no element mutates its terms, so the dict can be shared
-            return FieldElement(self.tower, other._terms)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            q = terms.get(e, _ZERO) + c
-            if q:
-                terms[e] = q
-            elif e in terms:
-                del terms[e]
-        return FieldElement(self.tower, terms)
+        if type(other) is not FieldElement or other.tower is not self.tower:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _sum(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, {e: -c for e, c in self._terms.items()})
+        return FieldElement(self.tower, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not FieldElement or other.tower is not self.tower:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _sum(self, other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(other, self, sub)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                q = out.get(e, _ZERO) + c1 * c2
-                if q:
-                    out[e] = q
-                elif e in out:
-                    del out[e]
-        gens = self.tower._gens
-        if any(e[j] >= gens[j].degree for e in out for j in range(len(gens))):
-            _reduce(self.tower, out)
-            out = {e: c for e, c in out.items() if c}
-        return FieldElement(self.tower, out)
+        if type(other) is not FieldElement or other.tower is not self.tower:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        den = self.den * other.den
+        if len(a) == 1:
+            # QQ: the convolution below with one slot and nothing to rewrite
+            p = a[0] * b[0]
+            g = gcd(p, den)
+            return FieldElement(self.tower, (p // g,), den // g)
+        slots, size, over, scale = self.tower._mul_table()
+        acc = [0] * size
+        for x, row in zip(a, slots):
+            if x:
+                for y, i in zip(b, row):
+                    if y:
+                        acc[i] += x * y
+        out = acc[: len(a)]
+        if scale != 1:
+            out = [scale * x for x in out]
+            den *= scale
+        for i, row in over:
+            c = acc[i]
+            if c:
+                for k, r in row:
+                    out[k] += c * r
+        return _normal(self.tower, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if not self._terms:
+        if not any(self.num):
             raise DivisionByZero("inverse of zero")
         tower = self.tower
         gens = tower._gens
         if not gens:
-            return FieldElement(tower, {(): _ONE / self._terms[()]})
+            p = self.num[0]
+            return FieldElement(tower, (self.den if p > 0 else -self.den,), abs(p))
         from .bipoly import UniPoly  # deferred: bipoly depends on this module
 
         sub = tower.subtower(len(gens) - 1)
@@ -327,40 +369,41 @@ class FieldElement:
 
     def embed(self, tower: FieldTower) -> "FieldElement":
         """Reinterpret this element inside a tower extending its own."""
-        if tower is self.tower or tower == self.tower:
-            return FieldElement(tower, dict(self._terms))
-        if not tower.extends(self.tower):
+        if tower is not self.tower and not tower.extends(self.tower):
             raise FieldMismatch(f"{tower!r} does not extend {self.tower!r}")
-        pad = (0,) * (tower.width - self.tower.width)
-        return FieldElement(tower, {e + pad: c for e, c in self._terms.items()})
+        pad = (0,) * (tower._degree - len(self.num))
+        return FieldElement(tower, self.num + pad, self.den)
 
     def trim(self) -> "FieldElement":
         """The same element over the shortest tower prefix that carries it."""
-        need = 0
-        for e in self._terms:
-            for j in range(len(e) - 1, -1, -1):
-                if e[j]:
-                    need = max(need, j + 1)
-                    break
-        if need == self.tower.width:
+        num = self.num
+        last = len(num) - 1
+        while last and not num[last]:
+            last -= 1
+        gens = self.tower._gens
+        need, size = 0, 1
+        while size <= last:
+            size *= gens[need].degree
+            need += 1
+        if need == len(gens):
             return self
-        sub = self.tower.subtower(need)
-        return FieldElement(sub, {e[:need]: c for e, c in self._terms.items()})
+        return FieldElement(self.tower.subtower(need), num[:size], self.den)
 
     def _top_dense(self, sub: FieldTower) -> list:
-        d = self.tower._gens[-1].degree
-        coeffs = [dict() for _ in range(d)]
-        for e, c in self._terms.items():
-            coeffs[e[-1]][e[:-1]] = c
-        return [FieldElement(sub, t) for t in coeffs]
+        size = sub._degree
+        num, den = self.num, self.den
+        return [_normal(sub, num[i : i + size], den) for i in range(0, len(num), size)]
 
     @staticmethod
     def _from_top_dense(tower: FieldTower, coeffs: list) -> "FieldElement":
-        terms = {}
-        for i, c in enumerate(coeffs):
-            for e, q in c._terms.items():
-                terms[e + (i,)] = q
-        return FieldElement(tower, terms)
+        # the lcm of normalized blocks' denominators leaves no common factor
+        den = lcm(*(c.den for c in coeffs))
+        num = []
+        for c in coeffs:
+            m = den // c.den
+            num.extend(x * m for x in c.num)
+        num.extend([0] * (tower._degree - len(num)))
+        return FieldElement(tower, tuple(num), den)
 
     # -- comparison / rendering ---------------------------------------------
 
@@ -369,45 +412,62 @@ class FieldElement:
             other = self.tower.rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.tower == other.tower and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.tower, frozenset(self._terms.items())))
-        return self._hash
-
-    def sort_key(self):
-        return tuple(
-            sorted(
-                ((e, c.numerator, c.denominator) for e, c in self._terms.items()),
-                reverse=True,
-            )
+        return (
+            self.num == other.num and self.den == other.den and self.tower == other.tower
         )
 
+    def __hash__(self) -> int:
+        return hash((self.tower, self.num, self.den))
+
+    def sort_key(self):
+        return tuple(self.terms())
+
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         names = self.tower.names()
-        parts = []
-        for e, c in sorted(self._terms.items(), reverse=True):
-            mono = "*".join(
-                n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k
-            )
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(_term(n, d, _monomial_text(names, e)) for e, n, d in self.terms())
 
     def __repr__(self) -> str:
         return f"<{self} in {self.tower!r}>"
+
+
+def _monomial_text(names, exps) -> str:
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+def _term(n: int, d: int, *monos: str) -> tuple[int, str]:
+    """(sign, text) of the term (n/d) * monos; a magnitude of 1 is left out."""
+    mono = "*".join(m for m in monos if m)
+    mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+    if not mono:
+        return (-1 if n < 0 else 1), mag
+    return (-1 if n < 0 else 1), mono if mag == "1" else f"{mag}*{mono}"
+
+
+def _signed_sum(pieces) -> str:
+    """Join (sign, text) pieces into a sum; "0" when there are none."""
+    out = ""
+    for sign, body in pieces:
+        if not out:
+            out = ("-" if sign < 0 else "") + body
+        else:
+            out += (" - " if sign < 0 else " + ") + body
+    return out or "0"
+
+
+def render_terms(items, varnames) -> str:
+    """Render a UniPoly or BiPoly: items are (exponent tuple, nonzero
+    FieldElement), already ordered.  A coefficient with more than one term
+    prints in parentheses."""
+    pieces = []
+    for exps, c in items:
+        mono = _monomial_text(varnames, exps)
+        terms = c.terms()
+        if len(terms) > 1:
+            pieces.append((1, f"({c})*{mono}" if mono else f"({c})"))
+        else:
+            ((gen_exps, n, d),) = terms
+            pieces.append(_term(n, d, _monomial_text(c.tower.names(), gen_exps), mono))
+    return _signed_sum(pieces)
 
 
 # -- extensions ---------------------------------------------------------------
@@ -463,7 +523,7 @@ def extend_field(
         if name in tower.names():
             raise InvalidExtension(f"generator name {name!r} already in use")
 
-    new = FieldTower(tower._gens + (_Generator(name, coeffs),))
+    new = FieldTower(tower._gens + (_Generator(name, coeffs, tower),))
     return new, (lambda x: x.embed(new)), new.gen(new.width - 1)
 
 
@@ -494,8 +554,8 @@ class FieldAutomorphism:
 
 def _apply_images(tower: FieldTower, images, x: FieldElement) -> FieldElement:
     out = tower.zero()
-    for e, c in x._terms.items():
-        term = tower.rational(c)
+    for e, n, d in x.terms():
+        term = tower.rational(Fraction(n, d))
         for j, k in enumerate(e):
             if k:
                 if images[j] is None:

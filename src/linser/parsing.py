@@ -9,12 +9,13 @@ to an equal object.
 
 from __future__ import annotations
 
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput, ParseError, SizeLimitExceeded
 from .numfield import QQ, FieldElement, FieldTower, Rational, extend_field
 from .bipoly import BiPoly, UniPoly
 
 _OPS = set("+-*^()/")
 MAX_NESTING = 100  # keeps the recursive descent inside Python's recursion limit
+MAX_EXPONENT = 10_000  # u^MAX_EXPONENT + v still ends at the blowup depth guard
 
 
 def _tokenize(text: str):
@@ -123,6 +124,11 @@ class _Parser:
             tok = self._next()
             if tok[0] != "INT":
                 self._fail(tok, "an integer exponent")
+            # compare lengths first: int() refuses very long digit strings
+            if len(tok[1]) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
+                raise SizeLimitExceeded(
+                    f"exponent at position {tok[2]} exceeds {MAX_EXPONENT}"
+                )
             value = value ** int(tok[1])
         return value
 

@@ -12,16 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from linser.parsing import MAX_NESTING
+from linser.cli import MAX_BASIS_DEGREE
+from linser.numfield import QQ
+from linser.parsing import MAX_EXPONENT, MAX_NESTING, parse_bipoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run(*args, stdin=None):
+def run(*args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "linser.cli", *args],
         input=stdin,
         capture_output=True,
+        timeout=timeout,
     )
 
 
@@ -233,6 +236,48 @@ def test_exit_4_on_depth_limit_of_high_degree_chain():
     out = run("basepoints", "-", stdin=json.dumps(doc).encode())
     assert out.returncode == 4
     assert b"Traceback" not in out.stderr
+
+
+def test_exit_4_on_exponent_past_the_bound():
+    assert parse_bipoly(f"u^{MAX_EXPONENT}", QQ).degree() == MAX_EXPONENT
+    for power in (MAX_EXPONENT + 1, 100000000):
+        doc = {"series": ["v", f"u^{power} + v"]}
+        out = run("basepoints", "-", stdin=json.dumps(doc).encode(), timeout=20)
+        assert out.returncode == 4
+        assert out.stdout == b""
+        assert b"exponent" in out.stderr and b"Traceback" not in out.stderr
+
+
+def test_exit_4_on_basis_degree_past_the_bound():
+    out = run("series", gpath("empty_tree.json"), "--basis",
+              f"bideg:{MAX_BASIS_DEGREE},0", timeout=20)
+    assert out.returncode == 0
+    for spec in (f"bideg:0,{MAX_BASIS_DEGREE + 1}", "deg:100000"):
+        out = run("complete", gpath("q42_input.json"), "--basis", spec, timeout=20)
+        assert out.returncode == 4, spec
+        assert out.stdout == b""
+        assert b"basis" in out.stderr and b"Traceback" not in out.stderr
+
+
+def _sum_of_squared_mults(nodes):
+    return sum(
+        n["mult"] ** 2 + _sum_of_squared_mults(n["children_t"] + n["children_s"])
+        for n in nodes
+    )
+
+
+@pytest.mark.parametrize(
+    "series, dim",
+    [(["u*v - 1", "u^2 + v^2 - 5"], 4), (["v^2 - u^3", "u^2 - v^3"], 9)],
+)
+def test_basepoints_over_quartic_towers(series, dim):
+    # Both systems need a degree-4 tower whose minimal polynomial has a t^2
+    # term.  For a pencil without common factor, the squared multiplicities
+    # over the whole tree add up to dim Q[u,v]/(f, g).
+    doc = {"series": series}
+    out = run("basepoints", "-", stdin=json.dumps(doc).encode(), timeout=20)
+    assert out.returncode == 0
+    assert _sum_of_squared_mults(json.loads(out.stdout)["tree"]) == dim
 
 
 def test_max_depth_raises_the_limit():

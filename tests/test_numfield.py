@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from linser.bipoly import UniPoly
 from linser.errors import (
     ConjugationUnavailable,
     DivisionByZero,
@@ -183,3 +185,66 @@ def test_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def _towers_with_t2_terms():
+    """(tower below, extension) pairs whose top minimal polynomial has a t^2 term."""
+    base, _, s = extend_field(QQ, [-2, 0, 1], "s")
+    return [
+        (QQ, extend_field(QQ, [1, 0, -5, 0, 1], "a")),
+        (QQ, extend_field(QQ, [1, 0, 1, 1], "a")),
+        (base, extend_field(base, [1, 0, s, 1], "r")),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_products_match_dense_reduction(case):
+    # The reference multiplies coefficient lists as UniPolys over the tower
+    # below and reduces once modulo the top minimal polynomial.  Operands are
+    # built with their terms added lowest power first and highest first.
+    below, (tower, embed, a) = _towers_with_t2_terms()[case]
+    minpoly = tower.generators()[-1][1]
+    d = len(minpoly) - 1
+    modulus = UniPoly(below, "t", minpoly)
+    powers = [a**k for k in range(d)]
+    rng = random.Random(case)
+
+    def coeff():
+        x = below.zero()
+        for g in [below.one()] + [below.gen(j) for j in range(below.width)]:
+            x = x + g * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return x
+
+    def element(cs, order):
+        x = tower.zero()
+        for k in order(range(len(cs))):
+            x = x + embed(cs[k]) * powers[k]
+        return x
+
+    for _ in range(30):
+        cx, cy, cz = ([coeff() for _ in range(d)] for _ in range(3))
+        product = UniPoly(below, "t", cx) * UniPoly(below, "t", cy) % modulus
+        want = element(product.coeffs, list)
+        for ox in (list, reversed):
+            for oy in (list, reversed):
+                assert element(cx, ox) * element(cy, oy) == want
+        x, y, z = element(cx, reversed), element(cy, reversed), element(cz, reversed)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        if x:
+            assert x * x.inverse() == tower.one()
+
+
+def test_elements_keep_dense_invariants():
+    below, (tower, embed, r) = _towers_with_t2_terms()[2]
+    s = embed(below.gen(0))
+    x = s * Fraction(3, 4) + r**2 * Fraction(-2, 9) + 1
+    y = r * Fraction(5, 6) - s
+    values = [x + y, x - y, x * y, x.inverse(), x / y, -x, x * 0, s.trim(), embed(s.trim())]
+    for v in values:
+        assert v.den > 0
+        assert gcd(v.den, *v.num) == 1
+        assert len(v.num) == v.tower.degree()
+    assert (x * 0).num == (0,) * 6 and (x * 0).den == 1
+    assert s.trim().tower == below and embed(s.trim()) == s
+    assert (x - x).trim().tower == QQ
