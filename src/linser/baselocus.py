@@ -9,10 +9,9 @@ multiplicity, all coordinates embedded in one final field tower.
 
 from __future__ import annotations
 
-from . import parsing
+from . import factorize, parsing
 from .bipoly import (
     BiPoly,
-    UniPoly,
     common_tower,
     exact_div_power,
     gcd_tuple,
@@ -27,7 +26,7 @@ from .errors import (
     NotABasepoint,
     RecursionLimitExceeded,
 )
-from .numfield import FieldElement, FieldTower
+from .numfield import FieldTower
 from .zeroset import zero_set
 
 DEFAULT_MAX_DEPTH = 32
@@ -211,9 +210,9 @@ def get_basepoints(F, tower: FieldTower | None = None,
     """The complete basepoint tree of a system with constant gcd.
 
     Top-level basepoints are the common zeros of the system; under each,
-    the two blowup charts are searched recursively for zeros on the
-    exceptional line.  The S-chart skips the points the T-chart already
-    produced, so no direction is reported twice.
+    the exceptional line is searched recursively for zeros.  The T-chart
+    holds every direction but one, which the S-chart adds at its origin,
+    so no direction is reported twice.
     """
     if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
         raise InvalidInput("max_depth must be a positive integer")
@@ -238,41 +237,45 @@ def _build_node(point, transforms, sequence, chain, depth, max_depth):
         raise RecursionLimitExceeded(
             f"blowup recursion passed depth {max_depth}"
         )
-    # The transforms passed zero_set's gcd check, so after one expansion
-    # about the point both charts' pullbacks have gcd exactly the
-    # exceptional coordinate to the lowest total degree of the expansion.
+    # The root system passed zero_set's gcd check, and a strict transform
+    # of a system with constant gcd keeps a constant gcd; so after one
+    # expansion about the point both charts' pullbacks have gcd exactly
+    # the exceptional coordinate to the lowest total degree of the expansion.
     shifted = taylor_shift(transforms, point)
     m = min((a + b for f in shifted for a, b in f.terms()), default=0)
     if m < 1:
         raise LinserError("zero multiplicity for a verified common zero")
-    origin = (chain.zero(), chain.zero())
+    zero = chain.zero()
+    origin = (zero, zero)
     strict_t = exact_div_power(pullback_blowup(shifted, origin, "t"), "v", m)
     strict_s = exact_div_power(pullback_blowup(shifted, origin, "s"), "u", m)
 
+    # Chart t sees every direction on the exceptional line but one, so its
+    # points are the roots of the transforms' gcd along v = 0; a point
+    # v = c != 0 of chart s is u = 1/c of chart t, leaving chart s its origin.
+    floor = chain.width
+    line = uni_gcd_list(
+        p for p in (f.substitute("v", zero) for f in strict_t) if not p.is_zero()
+    )
+    roots = []
+    if line.degree() > 0:
+        roots, chain = factorize.adjoin_roots(line, chain)
+    roots.sort(key=lambda r: (max(r.trim().tower.width, floor), r.sort_key()))
+    found = [("t", strict_t, (r, chain.zero())) for r in roots]
+    if all(not f.eval(origin) for f in strict_s):
+        found.append(("s", strict_s, origin))
+
     children = {"t": [], "s": []}
-    drop = None
-    for chart, var, strict in (("t", "v", strict_t), ("s", "u", strict_s)):
-        if chart == "s":
-            # Points already found on the T-side exceptional line reappear
-            # in the S-chart at inverted coordinates; exclude exactly those.
-            at_zero = [f.substitute("v", chain.zero()) for f in strict_t]
-            at_zero = [p for p in at_zero if not p.is_zero()]
-            if at_zero:
-                line = uni_gcd_list(at_zero).shifted_reverse()
-                drop = line if line.degree() > 0 else None
-        recs, chain = zero_set(
-            strict, tower=chain, restriction=var, drop_roots_of=drop
+    for chart, strict, child_point in found:
+        child, chain = _build_node(
+            tuple(c.embed(chain) for c in child_point),
+            [f.embed(chain) for f in strict],
+            sequence + ((point, chart),),
+            chain,
+            depth + 1,
+            max_depth,
         )
-        for rec in recs:
-            child, chain = _build_node(
-                rec.embed(chain),
-                [f.embed(chain) for f in strict],
-                sequence + ((point, chart),),
-                chain,
-                depth + 1,
-                max_depth,
-            )
-            children[chart].append(child)
+        children[chart].append(child)
 
     node = BasepointNode(sequence, point, m, children["t"], children["s"])
     return node, chain
@@ -328,6 +331,21 @@ def _parse_point(data, tower: FieldTower):
     )
 
 
+def sequence_from_json(data, tower: FieldTower):
+    """Blowup steps ((x, y), chart) from a list of [[x, y], chart] entries."""
+    if not isinstance(data, list):
+        raise InvalidInput("a blowup sequence must be a list")
+    steps = []
+    for entry in data:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise InvalidInput(f"bad sequence entry {entry!r}")
+        pt_data, ch = entry
+        if ch not in _CHARTS:
+            raise InvalidInput(f"unknown chart {ch!r}; expected 't' or 's'")
+        steps.append((_parse_point(pt_data, tower), ch))
+    return tuple(steps)
+
+
 def _node_from_json(data, tower, parent_seq, parent_point, chart, depth, max_depth):
     if depth > max_depth:
         raise RecursionLimitExceeded(
@@ -348,18 +366,7 @@ def _node_from_json(data, tower, parent_seq, parent_point, chart, depth, max_dep
         expected_seq = ()
     else:
         expected_seq = parent_seq + ((parent_point, chart),)
-    raw_seq = data["sequence"]
-    if not isinstance(raw_seq, list):
-        raise InvalidInput("node sequence must be a list")
-    seq = []
-    for entry in raw_seq:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InvalidInput(f"bad sequence entry {entry!r}")
-        pt_data, ch = entry
-        if ch not in _CHARTS:
-            raise InvalidInput(f"unknown chart {ch!r} in sequence")
-        seq.append((_parse_point(pt_data, tower), ch))
-    seq = tuple(seq)
+    seq = sequence_from_json(data["sequence"], tower)
     if seq != expected_seq:
         raise InvalidInput("node sequence does not match its position in the tree")
     point = _parse_point(data["point"], tower)

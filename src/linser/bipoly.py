@@ -262,19 +262,6 @@ class UniPoly:
             acc = acc * b + c
         return acc
 
-    def shifted_reverse(self) -> "UniPoly":
-        """Strip the root at zero, then reverse the coefficients.
-
-        The roots of the result are exactly the inverses of the nonzero
-        roots of self.
-        """
-        if self.is_zero():
-            return self
-        k = 0
-        while self.coeffs[k].is_zero():
-            k += 1
-        return UniPoly(self.tower, self.var, self.coeffs[k:][::-1])
-
     def embed(self, tower: FieldTower) -> "UniPoly":
         if tower is self.tower:
             return self

@@ -47,6 +47,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SizeLimitExceeded(f"{path}: {exc}") from None
 
 
 def _series_document(doc, allow_sequence=False):
@@ -71,26 +73,6 @@ def _series_document(doc, allow_sequence=False):
         raise InvalidInput("series entries must be expression strings")
     polys = [parsing.parse_bipoly(s, tower) for s in series]
     return polys, tower, doc.get("sequence")
-
-
-def _parse_sequence(raw, tower):
-    if not isinstance(raw, list) or not raw:
-        raise InvalidInput('strict-transform needs a nonempty "sequence" list')
-    steps = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InvalidInput(f"bad sequence entry {entry!r}")
-        pt, chart = entry
-        if chart not in ("t", "s"):
-            raise InvalidInput(f"unknown chart {chart!r}; expected 't' or 's'")
-        if not isinstance(pt, list) or len(pt) != 2 or not all(isinstance(c, str) for c in pt):
-            raise InvalidInput(f"a sequence point must be a pair of expression strings: {pt!r}")
-        point = (
-            parsing.parse_element(pt[0], tower),
-            parsing.parse_element(pt[1], tower),
-        )
-        steps.append((point, chart))
-    return steps
 
 
 def _basis_spec(text: str):
@@ -222,7 +204,9 @@ def _cmd_adjoint(args):
 
 def _cmd_strict_transform(args):
     polys, tower, raw_seq = _series_document(_load_json(args.input), allow_sequence=True)
-    steps = _parse_sequence(raw_seq, tower)
+    if not isinstance(raw_seq, list) or not raw_seq:
+        raise InvalidInput('strict-transform needs a nonempty "sequence" list')
+    steps = baselocus.sequence_from_json(raw_seq, tower)
     out = baselocus.strict_transform(polys, steps)
     t = tower
     for f in out:
@@ -238,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, basis=None, jobs=True):
+    def common(p, basis=None):
         p.add_argument("input", help="path to a JSON problem file, or - for stdin")
         p.add_argument(
             "--max-depth",
@@ -258,14 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--basis",
                 default=None,
                 help="deg:N or bideg:A,B (default: deg of the input series)",
-            )
-        if jobs:
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=1,
-                help="worker budget; accepted for compatibility, the driver "
-                "computes sequentially",
             )
 
     p = sub.add_parser("basepoints", help="resolve all basepoints of a series")
@@ -300,9 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     if args.max_depth < 1:
         print("error: --max-depth must be at least 1", file=sys.stderr)
         return 2

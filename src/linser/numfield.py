@@ -30,9 +30,13 @@ from .errors import (
     FieldMismatch,
     InvalidExtension,
     InvalidInput,
+    SizeLimitExceeded,
 )
 
 Rational = Fraction
+
+MAX_DIGITS = 4300  # Python's default limit on int <-> str conversions
+_TOO_LONG = 10**MAX_DIGITS
 
 _RESERVED_NAMES = {"u", "v", "t"}
 
@@ -436,6 +440,8 @@ def _monomial_text(names, exps) -> str:
 
 def _term(n: int, d: int, *monos: str) -> tuple[int, str]:
     """(sign, text) of the term (n/d) * monos; a magnitude of 1 is left out."""
+    if max(abs(n), d) >= _TOO_LONG:
+        raise SizeLimitExceeded(f"a coefficient has more than {MAX_DIGITS} digits")
     mono = "*".join(m for m in monos if m)
     mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
     if not mono:

@@ -10,7 +10,7 @@ to an equal object.
 from __future__ import annotations
 
 from .errors import InvalidInput, ParseError, SizeLimitExceeded
-from .numfield import QQ, FieldElement, FieldTower, Rational, extend_field
+from .numfield import MAX_DIGITS, QQ, FieldElement, FieldTower, Rational, extend_field
 from .bipoly import BiPoly, UniPoly
 
 _OPS = set("+-*^()/")
@@ -132,18 +132,25 @@ class _Parser:
             value = value ** int(tok[1])
         return value
 
+    def _int(self, tok):
+        if len(tok[1]) > MAX_DIGITS:
+            raise SizeLimitExceeded(
+                f"integer at position {tok[2]} has more than {MAX_DIGITS} digits"
+            )
+        return int(tok[1])
+
     def _atom(self):
         tok = self._next()
         kind, val, pos = tok
         if kind == "INT":
-            num = int(val)
+            num = self._int(tok)
             nk, nv, _ = self._peek()
             if nk == "OP" and nv == "/":
                 self._next()
                 dtok = self._next()
                 if dtok[0] != "INT":
                     self._fail(dtok, "an integer denominator")
-                den = int(dtok[1])
+                den = self._int(dtok)
                 if den == 0:
                     raise ParseError(f"zero denominator at position {dtok[2]}")
                 return self.atoms.from_rational(Rational(num, den))

@@ -11,8 +11,6 @@ the points.
 from __future__ import annotations
 
 from .bipoly import (
-    BiPoly,
-    UniPoly,
     common_tower,
     gcd_tuple,
     resultant,
@@ -63,15 +61,11 @@ def _as_record(xu: FieldElement, xv: FieldElement, floor: int, chain: FieldTower
     return ZeroPoint(xu.trim().embed(sub), xv.trim().embed(sub), sub)
 
 
-def zero_set(F, tower: FieldTower | None = None, restriction: str | None = None,
-             drop_roots_of: UniPoly | None = None):
+def zero_set(F, tower: FieldTower | None = None):
     """All common zeros of F, with the tower every coordinate lives in.
 
-    Returns (points, final tower).  restriction="u" or "v" pins that
-    variable to zero and solves along the other coordinate axis.
-    drop_roots_of excludes, from a restricted solve, the points whose
-    varying coordinate is a root of the given univariate polynomial; the
-    exclusion applies factor by factor, before any field extension.
+    Returns (points, final tower).  The points are sorted by the degree of
+    the smallest tower that carries them, then by coordinates.
     """
     polys = list(F)
     if not polys:
@@ -88,14 +82,7 @@ def zero_set(F, tower: FieldTower | None = None, restriction: str | None = None,
     g = gcd_tuple(nonzero)
     if not g.is_constant():
         raise NonConstantGcd(f"system has the common factor {g}")
-    if restriction is None:
-        if drop_roots_of is not None:
-            raise InvalidInput("a drop filter needs a restriction")
-        raw, chain = _solve_full(nonzero, t)
-    else:
-        if restriction not in ("u", "v"):
-            raise InvalidInput(f"unknown restriction {restriction!r}")
-        raw, chain = _solve_restricted(nonzero, t, restriction, drop_roots_of)
+    raw, chain = _solve_full(nonzero, t)
     records = [_as_record(xu.embed(chain), xv.embed(chain), t.width, chain)
                for xu, xv in raw]
     records.sort(
@@ -106,38 +93,6 @@ def zero_set(F, tower: FieldTower | None = None, restriction: str | None = None,
         )
     )
     return records, chain
-
-
-def _solve_restricted(polys, t: FieldTower, var: str, drop: UniPoly | None):
-    """Zeros with ``var`` pinned to 0, as (coordinate pairs, final tower)."""
-    zero = t.zero()
-    subs = [f.substitute(var, zero) for f in polys]
-    subs = [p for p in subs if not p.is_zero()]
-    if not subs:
-        raise NonConstantGcd("the coordinate line lies in the zero set")
-    g = uni_gcd_list(subs)
-    if g.degree() <= 0:
-        return [], t
-    chain = t
-    roots: list[FieldElement] = []
-    for q, _ in factor_univariate(g):
-        if drop is not None and drop.degree() > 0:
-            d = UniPoly(chain, q.var, [c.embed(chain) for c in drop.coeffs])
-            if (d % q.embed(chain)).is_zero():
-                continue
-        if q.degree() == 1:
-            roots.append((-q.coeffs[0]).embed(chain))
-        else:
-            more, chain = adjoin_roots(q, chain)
-            roots = [r.embed(chain) for r in roots] + more
-    out = []
-    for r in roots:
-        r = r.embed(chain)
-        if var == "v":
-            out.append((r, chain.zero()))
-        else:
-            out.append((chain.zero(), r))
-    return out, chain
 
 
 def _solve_full(polys, t: FieldTower):

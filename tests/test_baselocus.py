@@ -1,5 +1,6 @@
 """Tests for basepoint detection through iterated blowups."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from linser.errors import (
     RecursionLimitExceeded,
 )
 from linser.numfield import QQ, extend_field
-from linser.parsing import parse_bipoly
+from linser.parsing import parse_bipoly, tower_to_json
 
 
 def series(texts, tower=QQ):
@@ -194,6 +195,72 @@ def test_node_multiplicity_matches_gcd_path():
         for node in get_basepoints(F).nodes():
             transform = strict_transform(F, node.sequence)
             assert node.mult == multiplicity(transform, node.point)
+
+
+# Pencils for the intersection-number oracle.  U and V stand for seeded
+# affine images of u and v; these keep horizontal and vertical tangents.
+ORACLE_PENCILS = (
+    ("{V} - {U}^6", "{V}^2"),  # horizontal tangents: a chain of chart-s origins
+    ("{V}^3 - {U}^7", "{V}^2 - {U}^4"),
+    ("{U} - {V}^3", "{U}^2 + {V}^5"),  # vertical tangents: chart t's origin
+    ("{U}^2 - {V}^3", "{U}^3 - 2*{V}^5"),
+    ("{U} - {V}", "{U} + 2*{V}"),  # transversal crossings
+    ("{U}^2 - 1", "{V}^2 - {U} - 1"),
+    ("{V}^2 - 2*{U}^2 + {U}^3", "{V}^2 - 2*{U}^2 + {V}^3"),  # tangents v = +-sqrt(2)*u
+)
+GAUSSIAN_PENCILS = (
+    ("{U}^2 + {V}^2", "{V}^2 + {U}"),
+    ("{U}^2 + {V}^2", "{U}^3 - i*{V}^2"),
+    ("{V} - i*{U}^2", "{V}^2 - {U}^5"),
+    ("{U} - i*{V}^2", "{U}^2 + {V}^3"),
+    ("{U} - i*{V}", "{U}^2 - {V}^2 + i*{U}"),
+)
+
+
+def _quotient_dim(polys, tower, sympy):
+    """dim over the tower of K[u,v]/(polys), from a Groebner basis over QQ."""
+    syms = sympy.symbols(("u", "v") + tower.names())
+    names = {str(x): x for x in syms}
+    exprs = [sympy.sympify(str(f).replace("^", "**"), locals=names) for f in polys]
+    exprs += [
+        sympy.sympify(g["minpoly"].replace("^", "**"), locals={**names, "t": names[g["name"]]})
+        for g in tower_to_json(tower)
+    ]
+    G = sympy.groebner(exprs, *syms, order="grevlex")
+    assert G.is_zero_dimensional
+    leads = [sympy.Poly(g, *syms).monoms(order="grevlex")[0] for g in G.exprs]
+    bounds = [min(lead[k] for lead in leads if sum(lead) == lead[k])
+              for k in range(len(syms))]
+    count = sum(
+        1 for e in itertools.product(*map(range, bounds))
+        if not any(all(a >= b for a, b in zip(e, lead)) for lead in leads)
+    )
+    return Fraction(count, tower.degree())
+
+
+def test_squared_multiplicities_sum_to_quotient_dimension():
+    sympy = pytest.importorskip("sympy")
+    gauss, _ = gaussian_pair()
+    rng = random.Random(2024)
+    cases = [(p, QQ) for p in ORACLE_PENCILS] + [(p, gauss) for p in GAUSSIAN_PENCILS]
+    seen = {"s": 0, "t at origin": 0}
+    for templates, tower in cases:
+        moves = {}
+        for name, var in (("U", "u"), ("V", "v")):
+            scale = rng.choice(("1", "-1", "2", "-1/2"))
+            shift = rng.choice(("0", "1", "-1", "1/2"))
+            moves[name] = f"({scale}*{var} + {shift})"
+        F = series([t.format(**moves) for t in templates], tower)
+        tree = get_basepoints(F)
+        nodes = tree.nodes()
+        assert sum(n.mult ** 2 for n in nodes) == _quotient_dim(F, tower, sympy), templates
+        for node in nodes:
+            for child in node.children_s:
+                assert not child.point[0] and not child.point[1], templates
+                seen["s"] += 1
+            for child in node.children_t:
+                seen["t at origin"] += not child.point[0]
+    assert all(seen.values())
 
 
 def test_not_a_basepoint():

@@ -95,14 +95,6 @@ def test_inverse_mod():
         parse_unipoly("t + 1", QQ, "t").inverse_mod(parse_unipoly("t^2 - 1", QQ, "t"))
 
 
-def test_shifted_reverse():
-    p = UniPoly(QQ, "v", [0, 0, 3, 2])  # 2v^3 + 3v^2
-    assert str(p) == "2*v^3 + 3*v^2"
-    assert str(p.shifted_reverse()) == "3*v + 2"
-    assert str(UniPoly(QQ, "v", [1, 2]).shifted_reverse()) == "v + 2"
-    assert str(UniPoly(QQ, "v", [5]).shifted_reverse()) == "5"
-
-
 def test_bipoly_rendering():
     assert str(bp("v + u")) == "u + v"
     assert str(bp("1 + u*v^2")) == "u*v^2 + 1"

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from linser.cli import MAX_BASIS_DEGREE
-from linser.numfield import QQ
+from linser.numfield import MAX_DIGITS, QQ
 from linser.parsing import MAX_EXPONENT, MAX_NESTING, parse_bipoly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,12 +138,6 @@ def test_pretty_goes_to_stderr():
     assert out.stderr == golden_bytes("ex2_pretty.txt")
 
 
-def test_jobs_flag_does_not_change_output():
-    out = run("invariants", gpath("conic_input.json"), "--jobs", "2")
-    assert out.returncode == 0
-    assert out.stdout == golden_bytes("conic_invariants.out.json")
-
-
 def test_exit_2_on_parse_error():
     out = run("basepoints", gpath("parse_error_input.json"))
     assert out.returncode == 2
@@ -187,11 +181,6 @@ def test_exit_2_on_bad_basis():
 
 def test_exit_2_when_basis_missing():
     out = run("series", gpath("empty_tree.json"))
-    assert out.returncode == 2
-
-
-def test_exit_2_on_bad_jobs():
-    out = run("invariants", gpath("conic_input.json"), "--jobs", "0")
     assert out.returncode == 2
 
 
@@ -257,6 +246,27 @@ def test_exit_4_on_basis_degree_past_the_bound():
         assert out.returncode == 4, spec
         assert out.stdout == b""
         assert b"basis" in out.stderr and b"Traceback" not in out.stderr
+
+
+def test_exit_4_on_integers_past_the_digit_limit():
+    long = "1" * (MAX_DIGITS + 1)
+    ok = {"series": ["v", f"{long[1:]}*u + v^2"]}
+    assert run("basepoints", "-", stdin=json.dumps(ok).encode()).returncode == 0
+    for series in (
+        ["v", f"{long}*u + v^2"],  # numerator literal
+        ["v", f"1/{long}*u + v^2"],  # denominator literal
+        ["u - 3^9100", "v"],  # a printed coordinate of 4343 digits
+    ):
+        doc = {"series": series}
+        out = run("basepoints", "-", stdin=json.dumps(doc).encode(), timeout=20)
+        assert out.returncode == 4, series
+        assert out.stdout == b""
+        assert b"digits" in out.stderr and b"Traceback" not in out.stderr
+    tree = ('{"tower": [], "tree": [{"sequence": [], "point": ["0", "0"], '
+            f'"mult": {long}, "children_t": [], "children_s": []}}]}}')
+    out = run("series", "-", "--basis", "deg:1", stdin=tree.encode())
+    assert out.returncode == 4
+    assert b"digits" in out.stderr and b"Traceback" not in out.stderr
 
 
 def _sum_of_squared_mults(nodes):

@@ -7,7 +7,7 @@ import pytest
 
 from linser.errors import InvalidInput, NonConstantGcd
 from linser.numfield import QQ, extend_field
-from linser.parsing import parse_bipoly, parse_unipoly
+from linser.parsing import parse_bipoly
 from linser.zeroset import zero_set
 
 
@@ -44,30 +44,6 @@ def test_points_satisfy_system():
             assert f.embed(chain).eval(p.embed(chain)).is_zero()
 
 
-def test_restricted_to_line_v():
-    points, _ = zero_set([bp("u^2*v + v"), bp("v + u")], restriction="v")
-    assert coords(points) == [("0", "0")]
-
-
-def test_restricted_to_line_u_empty():
-    points, _ = zero_set([bp("u + u*v^2"), bp("u*v^2 + 1")], restriction="u")
-    assert points == []
-
-
-def test_restricted_with_drop_filter():
-    F = [bp("v*(v - 1)*(v - 2)"), bp("u")]
-    keep_all, _ = zero_set(F, restriction="u")
-    assert coords(keep_all) == [("0", "0"), ("0", "1"), ("0", "2")]
-    drop = parse_unipoly("t - 1", QQ, "t")
-    dropped, _ = zero_set(F, restriction="u", drop_roots_of=drop)
-    assert coords(dropped) == [("0", "0"), ("0", "2")]
-
-
-def test_drop_filter_requires_restriction():
-    with pytest.raises(InvalidInput):
-        zero_set([bp("u"), bp("v")], drop_roots_of=parse_unipoly("t", QQ, "t"))
-
-
 def test_common_factor_rejected():
     with pytest.raises(NonConstantGcd):
         zero_set([bp("u*v*(u + 1)"), bp("u*v")])
@@ -80,8 +56,6 @@ def test_input_validation():
         zero_set([])
     with pytest.raises(InvalidInput):
         zero_set([bp("0"), bp("0")])
-    with pytest.raises(InvalidInput):
-        zero_set([bp("u"), bp("v")], restriction="w")
 
 
 def test_constant_in_system_means_empty():
