@@ -644,17 +644,19 @@ def _prem(a, b):
     da = len(a) - 1
     db = len(b) - 1
     lb = b[-1]
+    monic = lb.is_constant() and lb.lc() == 1
     rem = list(a)
     scale = da - db + 1
     while len(rem) - 1 >= db and rem:
         s = rem[-1]
-        rem = [lb * c for c in rem]
+        if not monic:
+            rem = [lb * c for c in rem]
         shift = len(rem) - 1 - db
         for k in range(db + 1):
             rem[shift + k] = rem[shift + k] - s * b[k]
         _trim(rem)
         scale -= 1
-    if scale > 0:
+    if scale > 0 and not monic:
         mult = lb ** scale
         rem = [mult * c for c in rem]
     return rem

@@ -47,6 +47,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} is nested too deeply") from None
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise SizeLimitExceeded(f"{path}: {exc}") from None
 

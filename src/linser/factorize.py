@@ -3,23 +3,22 @@
 The rational case reduces to factoring a monic squarefree integer
 polynomial: reduce mod a good prime, split with Berlekamp's algorithm,
 lift the factors with quadratic Hensel steps past the Mignotte bound,
-then recombine subsets by trial division.  The tower case maps the
-problem through a primitive element and a squarefree norm down to the
-rational case, then pulls factors back with gcds over the tower.
+then recombine subsets by trial division.  Over a tower K = L(a), Trager's
+norm is taken relative to the top generator: a shifted norm, squarefree
+over the subtower L, is factored over L by the same method one level down,
+and each of its factors pulls back to a factor over K by a gcd.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
-from . import _gauss
 from .bipoly import BiPoly, UniPoly, resultant
 from .errors import InvalidInput
-from .numfield import QQ, FieldElement, FieldTower, Rational, extend_field
+from .numfield import FieldElement, FieldTower, Rational, extend_field
 
-# -- dense integer polynomials (lists, low degree first) ----------------------
+# -- dense integer polynomials (lists, low degree first), over Z or mod m -----
 
 
 def _z_trim(a):
@@ -28,7 +27,11 @@ def _z_trim(a):
     return a
 
 
-def _z_mul(a, b):
+def _z_mod(a, m):
+    return _z_trim([c % m for c in a])
+
+
+def _z_mul(a, b, m=None):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -36,29 +39,17 @@ def _z_mul(a, b):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _z_trim(out)
+    return _z_trim(out) if m is None else _z_mod(out, m)
 
 
-def _z_add(a, b):
+def _z_add(a, b, sign=1):
+    """a + sign*b."""
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
-        out[i] += c
+        out[i] += sign * c
     return _z_trim(out)
-
-
-def _z_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _z_trim(out)
-
-
-def _z_mod(a, m):
-    return _z_trim([c % m for c in a])
 
 
 def _balanced(a, m):
@@ -66,21 +57,21 @@ def _balanced(a, m):
     return _z_trim([c - m if c > half else c for c in _z_mod(a, m)])
 
 
-def _z_divmod_monic(a, b, m=None):
-    """Divide by a monic divisor, over the integers or mod m."""
-    r = list(a)
-    if m is not None:
-        r = [c % m for c in r]
-    _z_trim(r)
+def _z_divmod(a, b, m=None):
+    """Quotient and remainder: over Z b must be monic; mod m, lc(b) a unit."""
+    r = _z_trim(list(a)) if m is None else _z_mod(a, m)
+    inv = 1 if m is None else pow(b[-1], -1, m)
     q = [0] * max(len(r) - len(b) + 1, 0)
     while len(r) >= len(b):
-        f = r[-1]
+        f = r[-1] if inv == 1 else r[-1] * inv % m
         k = len(r) - len(b)
         q[k] = f
-        for i, bc in enumerate(b):
-            r[k + i] -= f * bc
-            if m is not None:
-                r[k + i] %= m
+        if m is None:
+            for i, bc in enumerate(b):
+                r[k + i] -= f * bc
+        else:
+            for i, bc in enumerate(b):
+                r[k + i] = (r[k + i] - f * bc) % m
         _z_trim(r)
     return _z_trim(q), r
 
@@ -88,45 +79,8 @@ def _z_divmod_monic(a, b, m=None):
 # -- dense polynomials over a prime field --------------------------------------
 
 
-def _gf_norm(a, p):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _gf_norm(out, p)
-
-
-def _gf_divmod(a, b, p):
-    a = _gf_norm(a, p)
-    b = _gf_norm(b, p)
-    if not b:
-        raise ZeroDivisionError("gf division by zero")
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b):
-        f = r[-1] * inv % p
-        k = len(r) - len(b)
-        q[k] = f
-        for i, bc in enumerate(b):
-            r[k + i] = (r[k + i] - f * bc) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
-
-
 def _gf_monic(a, p):
-    a = _gf_norm(a, p)
+    a = _z_mod(a, p)
     if not a or a[-1] == 1:
         return a
     inv = pow(a[-1], p - 2, p)
@@ -134,22 +88,22 @@ def _gf_monic(a, p):
 
 
 def _gf_gcd(a, b, p):
-    a = _gf_norm(a, p)
-    b = _gf_norm(b, p)
+    a = _z_mod(a, p)
+    b = _z_mod(b, p)
     while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
+        a, b = b, _z_divmod(a, b, p)[1]
     return _gf_monic(a, p)
 
 
 def _gf_ext_gcd(a, b, p):
     """(g, s, t) with s*a + t*b == g, g monic."""
-    r0, s0, t0 = _gf_norm(a, p), [1], []
-    r1, s1, t1 = _gf_norm(b, p), [], [1]
+    r0, s0, t0 = _z_mod(a, p), [1], []
+    r1, s1, t1 = _z_mod(b, p), [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _z_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_norm(_z_sub(s0, _z_mul(q, s1)), p)
-        t0, t1 = t1, _gf_norm(_z_sub(t0, _z_mul(q, t1)), p)
+        s0, s1 = s1, _z_mod(_z_add(s0, _z_mul(q, s1), -1), p)
+        t0, t1 = t1, _z_mod(_z_add(t0, _z_mul(q, t1), -1), p)
     if r0:
         inv = pow(r0[-1], p - 2, p)
         r0 = [c * inv % p for c in r0]
@@ -160,11 +114,11 @@ def _gf_ext_gcd(a, b, p):
 
 def _gf_pow_mod(base, e, mod, p):
     result = [1]
-    base = _gf_divmod(base, mod, p)[1]
+    base = _z_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _gf_divmod(_gf_mul(result, base, p), mod, p)[1]
-        base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
+            result = _z_divmod(_z_mul(result, base, p), mod, p)[1]
+        base = _z_divmod(_z_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -220,8 +174,8 @@ def _choose_prime(g):
     p = 5
     while True:
         if _is_prime(p):
-            gp = _gf_norm(g, p)
-            dp = _gf_norm(deriv, p)
+            gp = _z_mod(g, p)
+            dp = _z_mod(deriv, p)
             if len(gp) == len(g) and dp and len(_gf_gcd(gp, dp, p)) == 1:
                 return p
         p += 1
@@ -240,7 +194,7 @@ def _berlekamp(g, p):
     cur = [1]
     for _ in range(n):
         rows.append(cur + [0] * (n - len(cur)))
-        cur = _gf_divmod(_gf_mul(cur, xp, p), g, p)[1]
+        cur = _z_divmod(_z_mul(cur, xp, p), g, p)[1]
     mt = [
         [(rows[i][j] - (1 if i == j else 0)) % p for i in range(n)]
         for j in range(n)
@@ -267,13 +221,13 @@ def _berlekamp(g, p):
                     break
                 vs = list(v)
                 vs[0] = (vs[0] - s) % p
-                w = _gf_gcd(rem, _gf_norm(vs, p), p)
+                w = _gf_gcd(rem, _z_mod(vs, p), p)
                 dw = len(w) - 1
                 if dw == len(rem) - 1:
                     break
                 if dw > 0:
                     pieces.append(w)
-                    rem = _gf_divmod(rem, w, p)[0]
+                    rem = _z_divmod(rem, w, p)[0]
             if len(rem) - 1 > 0:
                 pieces.append(_gf_monic(rem, p))
             new.extend(pieces if pieces else [f])
@@ -290,14 +244,14 @@ def _hensel_step(f, g, h, s, t, m):
     Requires f == g*h and s*g + t*h == 1 mod m, with g and h monic.
     """
     m2 = m * m
-    e = _z_mod(_z_sub(f, _z_mul(g, h)), m2)
-    q, r = _z_divmod_monic(_z_mul(s, e), h, m2)
+    e = _z_mod(_z_add(f, _z_mul(g, h), -1), m2)
+    q, r = _z_divmod(_z_mul(s, e), h, m2)
     g1 = _z_mod(_z_add(_z_add(g, _z_mul(t, e)), _z_mul(q, g)), m2)
     h1 = _z_mod(_z_add(h, r), m2)
-    b = _z_mod(_z_sub(_z_add(_z_mul(s, g1), _z_mul(t, h1)), [1]), m2)
-    c, d = _z_divmod_monic(_z_mul(s, b), h1, m2)
-    s1 = _z_mod(_z_sub(s, d), m2)
-    t1 = _z_mod(_z_sub(_z_sub(t, _z_mul(t, b)), _z_mul(c, g1)), m2)
+    b = _z_mod(_z_add(_z_add(_z_mul(s, g1), _z_mul(t, h1)), [1], -1), m2)
+    c, d = _z_divmod(_z_mul(s, b), h1, m2)
+    s1 = _z_mod(_z_add(s, d, -1), m2)
+    t1 = _z_mod(_z_add(_z_add(t, _z_mul(t, b), -1), _z_mul(c, g1), -1), m2)
     return g1, h1, s1, t1
 
 
@@ -308,10 +262,10 @@ def _lift_split(f, facs, p, target):
     mid = len(facs) // 2
     a = [1]
     for fac in facs[:mid]:
-        a = _gf_mul(a, fac, p)
+        a = _z_mul(a, fac, p)
     b = [1]
     for fac in facs[mid:]:
-        b = _gf_mul(b, fac, p)
+        b = _z_mul(b, fac, p)
     _, s, t = _gf_ext_gcd(a, b, p)
     m = p
     while m < target:
@@ -326,7 +280,7 @@ def _factor_int_monic_squarefree(g):
     if n <= 1:
         return [g]
     p = _choose_prime(g)
-    modfacs = _berlekamp(_gf_norm(g, p), p)
+    modfacs = _berlekamp(_z_mod(g, p), p)
     modfacs.sort(key=lambda f: (len(f), tuple(f)))
     if len(modfacs) == 1:
         return [g]
@@ -349,7 +303,7 @@ def _factor_int_monic_squarefree(g):
             cand = _balanced(cand, target)
             if not cand or cand[-1] != 1:
                 continue
-            q, r = _z_divmod_monic(h, cand)
+            q, r = _z_divmod(h, cand)
             if not r:
                 out.append(cand)
                 h = q
@@ -396,82 +350,44 @@ def _shifts():
         k += 1
 
 
-@lru_cache(maxsize=None)
-def _tower_data(tower: FieldTower):
-    """Primitive element data: (gamma, minpoly coeffs over QQ, coordinates map)."""
-    dim = tower.degree()
-
-    def powers(elem: FieldElement, count: int):
-        """Coordinate rows of elem^0, ..., elem^(count - 1) over QQ."""
-        rows, power = [], tower.one()
-        for _ in range(count):
-            rows.append([Rational(c, power.den) for c in power.num])
-            power = power * elem
-        return rows
-
-    # gen(j) + c*gamma generates the first j + 1 levels exactly when its
-    # powers below that subtower's degree are independent
-    gamma = tower.gen(0)
-    for j in range(1, tower.width):
-        expected = tower.subtower(j + 1).degree()
-        for c in _shifts():
-            cand = tower.gen(j) + c * gamma
-            if _gauss.rank(powers(cand, expected)) == expected:
-                gamma = cand
-                break
-
-    pmat = powers(gamma, dim)
-    aug = [row + [Rational(int(i == j)) for j in range(dim)] for i, row in enumerate(pmat)]
-    reduced, pivots = _gauss.rref(aug)
-    if pivots != list(range(dim)):
-        raise InvalidInput("primitive element powers are dependent")
-    pinv = [row[dim:] for row in reduced]
-
-    def express(x: FieldElement):
-        vec = [Rational(c, x.den) for c in x.num]
-        return [
-            sum(vec[j] * pinv[j][k] for j in range(dim))
-            for k in range(dim)
-        ]
-
-    # gamma^dim in the power basis gives the minimal polynomial
-    minpoly = [-c for c in express(gamma**dim)] + [Rational(1)]
-    return gamma, tuple(minpoly), express
+def _factor_squarefree(f: UniPoly):
+    """Monic irreducible factors of a monic squarefree UniPoly."""
+    if f.tower.width == 0:
+        return _factor_rational_squarefree(f)
+    return _factor_tower_squarefree(f)
 
 
 def _factor_tower_squarefree(f: UniPoly):
-    """Monic irreducible factors of a monic squarefree UniPoly over a tower."""
+    """Monic irreducible factors of a monic squarefree UniPoly over K = L(a).
+
+    With m the minimal polynomial of a over L and f(x) = F(x, a), take
+    N(x) = Res_t(m(t), F(x - s*t, t)) for shifts s until N is squarefree;
+    then each irreducible factor g of N over L gives the factor
+    gcd(f, g(x + s*a)) over K (Trager, SYMSAC 1976).
+    """
     tower = f.tower
     if f.degree() <= 1:
         return [f]
-    gamma, minpoly, express = _tower_data(tower)
-
-    fhat_terms = {}
-    for k, c in enumerate(f.coeffs):
-        for i, q in enumerate(express(c)):
-            if q:
-                fhat_terms[(k, i)] = q
-    fhat = BiPoly(QQ, fhat_terms)
-    mv = BiPoly(QQ, {(0, i): q for i, q in enumerate(minpoly) if q})
-
-    u = BiPoly.variable(QQ, "u")
-    v = BiPoly.variable(QQ, "v")
-    for tries, s in enumerate(_shifts()):
-        if tries >= _SHIFT_LIMIT:
-            break
-        shifted = fhat.subs_polys(u - s * v, v)
-        norm = resultant(mv, shifted, "v").monic()
+    sub = tower.subtower(tower.width - 1)
+    minpoly = tower.generators()[-1][1]
+    fhat = BiPoly(sub, {
+        (k, i): b for k, c in enumerate(f.coeffs) for i, b in enumerate(c.top_dense(sub))
+    })
+    mv = BiPoly(sub, {(0, i): c for i, c in enumerate(minpoly)})
+    u = BiPoly.variable(sub, "u")
+    v = BiPoly.variable(sub, "v")
+    top = tower.gen(tower.width - 1)
+    for s in itertools.islice(_shifts(), _SHIFT_LIMIT):
+        norm = resultant(mv, fhat.subs_polys(u - s * v, v), "v").monic()
         if norm.gcd(norm.derivative()).degree() != 0:
             continue
-        nfacs = _factor_rational_squarefree(norm)
+        nfacs = _factor_squarefree(norm)
         if len(nfacs) == 1:
             return [f.monic()]
-        sgamma = tower.rational(s) * gamma
-        shift_poly = UniPoly(tower, f.var, [sgamma, tower.one()])
+        shift_poly = UniPoly(tower, f.var, [s * top, tower.one()])
         out = []
         for nf in nfacs:
-            base = UniPoly(tower, f.var, [c.as_rational() for c in nf.coeffs])
-            g = f.gcd(base.compose(shift_poly))
+            g = f.gcd(UniPoly(tower, f.var, nf.coeffs).compose(shift_poly))
             if g.degree() > 0:
                 out.append(g)
         if sum(g.degree() for g in out) == f.degree():
@@ -528,11 +444,7 @@ def factor_univariate(f: UniPoly, tower: FieldTower | None = None):
         return []
     out = []
     for part, mult in squarefree_decomposition(f):
-        if part.tower.width == 0:
-            irs = _factor_rational_squarefree(part)
-        else:
-            irs = _factor_tower_squarefree(part)
-        out.extend((g.monic(), mult) for g in irs)
+        out.extend((g.monic(), mult) for g in _factor_squarefree(part))
     out.sort(key=lambda pair: pair[0].sort_key())
     return out
 

@@ -339,7 +339,7 @@ class FieldElement:
         from .bipoly import UniPoly  # deferred: bipoly depends on this module
 
         sub = tower.subtower(len(gens) - 1)
-        a = UniPoly(sub, "t", self._top_dense(sub))
+        a = UniPoly(sub, "t", self.top_dense(sub))
         inv = a.inverse_mod(UniPoly(sub, "t", gens[-1].minpoly))
         return self._from_top_dense(tower, inv.coeffs)
 
@@ -393,7 +393,9 @@ class FieldElement:
             return self
         return FieldElement(self.tower.subtower(need), num[:size], self.den)
 
-    def _top_dense(self, sub: FieldTower) -> list:
+    def top_dense(self, sub: FieldTower) -> list:
+        """Coefficients over ``sub``, the tower below the top generator, of
+        this element as a polynomial in that generator, low degree first."""
         size = sub._degree
         num, den = self.num, self.den
         return [_normal(sub, num[i : i + size], den) for i in range(0, len(num), size)]

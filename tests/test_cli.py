@@ -146,11 +146,14 @@ def test_exit_2_on_parse_error():
 
 
 def test_exit_2_on_deep_nesting():
-    for text in ("(" * 3000 + "u" + ")" * 3000, "-" * 3000 + "2u"):
-        doc = {"series": [text, "v"]}
-        out = run("basepoints", "-", stdin=json.dumps(doc).encode())
+    texts = ("(" * 3000 + "u" + ")" * 3000, "-" * 3000 + "2u")
+    docs = [json.dumps({"series": [text, "v"]}) for text in texts]
+    docs.append("[" * 100000 + "]" * 100000)  # JSON past the recursion limit
+    for doc in docs:
+        out = run("basepoints", "-", stdin=doc.encode())
         assert out.returncode == 2
         assert out.stdout == b""
+        assert b"Traceback" not in out.stderr
 
 
 def test_nesting_up_to_the_bound_parses():
@@ -223,6 +226,15 @@ def test_exit_4_on_depth_limit_of_high_degree_chain():
     # interpreter's recursion limit, stops cleanly at the depth bound
     doc = {"series": ["v", "u^1200 + v"]}
     out = run("basepoints", "-", stdin=json.dumps(doc).encode())
+    assert out.returncode == 4
+    assert b"Traceback" not in out.stderr
+
+
+def test_exit_4_on_depth_limit_of_high_power_chain():
+    # the gcds and resultants along this chain take pseudo-remainders by
+    # divisors with leading coefficient 1, which must cost no rescaling
+    doc = {"series": ["(u+v)^400", "v"]}
+    out = run("basepoints", "-", stdin=json.dumps(doc).encode(), timeout=10)
     assert out.returncode == 4
     assert b"Traceback" not in out.stderr
 

@@ -159,3 +159,63 @@ def test_factor_product_round_trip():
         assert rebuild(f, factors) == f
         for g, _ in factors:
             assert g.lc() == tower.one()
+
+
+def test_irreducible_minimal_polynomials_with_field_coefficients():
+    # b is a root of a cubic over Q(a) and the quadratic is the cubic's
+    # cofactor of t - b, so each level's minimal polynomial has
+    # coefficients from the levels below
+    qa, _, _ = extend_field(QQ, up("t^4 + t + 1"), "a")
+    cubic = up("t^3 + a*t^2 + a^2*t + a^3 + 1", qa)
+    assert factor_univariate(cubic) == [(cubic, 1)]
+    qab, _, _ = extend_field(qa, cubic, "b")
+    quadratic = up("t^2 + (a + b)*t + a^2 + a*b + b^2", qab)
+    assert factor_univariate(quadratic) == [(quadratic, 1)]
+
+
+# Towers for the sympy oracle: (name, minimal polynomial over the levels
+# below) for each level, the same generators as sympy values, and a
+# polynomial that splits further over the top level than below it.
+ORACLE_TOWERS = [
+    ([("i", "t^2 + 1"), ("s", "t^2 - 2")], ["I", "sqrt(2)"], "t^2 - 2"),
+    ([("a", "t^2 - 2"), ("r", "t^2 - a")], ["sqrt(2)", "2**Rational(1, 4)"], "t^2 - a"),
+    (
+        [("c", "t^3 - 2"), ("w", "t^2 + t + 1")],
+        ["2**Rational(1, 3)", "(-1 + sqrt(3)*I)/2"],
+        "t^2 + t + 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "levels, values, splits", ORACLE_TOWERS, ids=["i-sqrt2", "sqrt2-root4", "cbrt2-omega"]
+)
+def test_tower_factors_match_sympy(levels, values, splits):
+    sympy = pytest.importorskip("sympy")
+    tower = QQ
+    for name, minpoly in levels:
+        tower, _, _ = extend_field(tower, up(minpoly, tower), name)
+    gens = [sympy.sympify(v) for v in values]
+    t = sympy.Symbol("t")
+
+    rng = random.Random(5)
+
+    def random_monic(deg):
+        coeffs = [
+            rng.randint(-2, 2) + rng.randint(-1, 1) * tower.gen(rng.randrange(tower.width))
+            for _ in range(deg)
+        ]
+        return UniPoly(tower, "t", coeffs + [1])
+
+    f = up(splits, tower) * random_monic(1) ** 2 * random_monic(2)
+    factors = factor_univariate(f)
+    assert rebuild(f, factors) == f
+    expr = sum(
+        sympy.Rational(n, d) * sympy.Mul(*(g**e for g, e in zip(gens, exps))) * t**k
+        for k, c in enumerate(f.coeffs)
+        for exps, n, d in c.terms()
+    )
+    _, theirs = sympy.factor_list(expr, t, extension=gens)
+    assert sorted((g.degree(), m) for g, m in factors) == sorted(
+        (sympy.degree(g, t), m) for g, m in theirs
+    )
