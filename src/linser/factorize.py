@@ -3,10 +3,11 @@
 The rational case reduces to factoring a monic squarefree integer
 polynomial: reduce mod a good prime, split with Berlekamp's algorithm,
 lift the factors with quadratic Hensel steps past the Mignotte bound,
-then recombine subsets by trial division.  Over a tower K = L(a), Trager's
-norm is taken relative to the top generator: a shifted norm, squarefree
-over the subtower L, is factored over L by the same method one level down,
-and each of its factors pulls back to a factor over K by a gcd.
+then recombine subsets by trial division, after a test on their constant
+terms.  Over a tower K = L(a), Trager's norm is taken relative to the top
+generator: a shifted norm, squarefree over the subtower L, is factored
+over L by the same method one level down, and each of its factors pulls
+back to a factor over K by a gcd.
 """
 
 from __future__ import annotations
@@ -297,6 +298,14 @@ def _factor_int_monic_squarefree(g):
     while 2 * size <= len(idx):
         hit = False
         for combo in itertools.combinations(idx, size):
+            # a factor's constant term divides h[0]; a zero one needs x | h
+            const = 1
+            for i in combo:
+                const = const * lifted[i][0] % target
+            if const > target // 2:
+                const -= target
+            if (h[0] % const) if const else h[0]:
+                continue
             cand = [1]
             for i in combo:
                 cand = _z_mul(cand, lifted[i])
@@ -478,8 +487,15 @@ def adjoin_roots(f: UniPoly, tower: FieldTower | None = None):
             else:
                 nonlinear.append(fac)
         if nonlinear:
-            t, _, _ = extend_field(t, nonlinear[0])
-            roots = [r.embed(t) for r in roots]
-            work = [h.embed(t) for h in nonlinear] + work
+            # x - alpha divides the first factor over the new field, so only
+            # its cofactor is left to factor; the others may split too
+            t, _, alpha = extend_field(t, nonlinear[0])
+            roots = [r.embed(t) for r in roots] + [alpha]
+            linear = UniPoly(t, g.var, [-alpha, t.one()])
+            work = (
+                [nonlinear[0].embed(t).exact_div(linear)]
+                + [h.embed(t) for h in nonlinear[1:]]
+                + work
+            )
     roots.sort(key=FieldElement.sort_key)
     return roots, t

@@ -7,6 +7,7 @@ import pytest
 
 from linser.bipoly import UniPoly
 from linser.errors import InvalidInput
+from linser import factorize
 from linser.factorize import (
     adjoin_roots,
     factor_univariate,
@@ -138,6 +139,74 @@ def test_adjoin_roots_two_extensions():
     g = f.embed(tower)
     for r in roots:
         assert g.eval(r).is_zero()
+
+
+@pytest.mark.parametrize(
+    "text, minpolys, roots, degree",
+    [
+        ("t^4 - 2", ["t^4 - 2", "t^2 + a0^2"], ["-a1", "a1", "-a0", "a0"], 8),
+        ("t^3 - 2", ["t^3 - 2", "t^2 + a0*t + a0^2"], ["a1", "-a0 - a1", "a0"], 6),
+        (
+            "t^4 + t + 1",
+            ["t^4 + t + 1", "t^3 + a0*t^2 + a0^2*t + (a0^3 + 1)",
+             "t^2 + (a0 + a1)*t + (a0^2 + a0*a1 + a1^2)"],
+            ["a2", "a1", "-a0 - a1 - a2", "a0"],
+            24,
+        ),
+    ],
+    ids=["root4-2", "cbrt2", "quartic-s4"],
+)
+def test_adjoin_roots_builds_the_splitting_tower(text, minpolys, roots, degree):
+    # Pinned generators, minimal polynomials and root order: each adjoined
+    # root is split off its factor, and the cofactor is factored over the
+    # new field, which must pick the same next factor as factoring the
+    # whole factor again would
+    f = up(text)
+    found, tower = adjoin_roots(f)
+    assert tower.names() == tuple(f"a{k}" for k in range(len(minpolys)))
+    for k, (_, coeffs) in enumerate(tower.generators()):
+        assert str(UniPoly(tower.subtower(k), "t", list(coeffs))) == minpolys[k]
+    assert tower.degree() == degree
+    assert [str(r) for r in found] == roots
+    assert len(set(found)) == len(found)
+    g = f.embed(tower)
+    for r in found:
+        assert g.eval(r).is_zero()
+
+
+# x^8 - 40x^6 + 352x^4 - 960x^2 + 576, the minimal polynomial of
+# sqrt(2) + sqrt(3) + sqrt(5); it splits into quadratics or linear factors
+# modulo every prime
+_SWINNERTON_DYER = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+
+
+def _z_prod(polys):
+    out = [1]
+    for g in polys:
+        out = factorize._z_mul(out, g)
+    return out
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [[0, 1], [-9, 1], [-8, 1], [-7, 1], [-6, 1], [-5, 1], [-4, 1], [-3, 1],
+         [-2, 1], [-1, 1]],
+        # the second factor is the first at x + 1
+        [[-71, -744, 580, 664, -178, -184, -12, 8, 1], _SWINNERTON_DYER],
+    ],
+    ids=["x-times-linears", "swinnerton-dyer-pair"],
+)
+def test_integer_recombination(factors):
+    # x * (x - 1) * ... * (x - 9) has constant term 0, so the constant-term
+    # test of the recombination must let zero through only while x | h;
+    # the Swinnerton-Dyer pair needs subsets of 4 of its 8 modular factors
+    g = _z_prod(factors)
+    p = factorize._choose_prime(g)
+    assert len(factorize._berlekamp(factorize._z_mod(g, p), p)) >= 8
+    found = factorize._factor_int_monic_squarefree(g)
+    assert found == factors
+    assert _z_prod(found) == g
 
 
 def _random_monic(rng, tower, max_deg=4):
