@@ -12,7 +12,6 @@ from __future__ import annotations
 from . import factorize, parsing
 from .bipoly import (
     BiPoly,
-    common_tower,
     exact_div_power,
     gcd_tuple,
     pullback_blowup,
@@ -27,7 +26,7 @@ from .errors import (
     RecursionLimitExceeded,
 )
 from .numfield import FieldTower
-from .zeroset import zero_set
+from .zeroset import prepare_system, zero_set
 
 DEFAULT_MAX_DEPTH = 32
 
@@ -152,29 +151,13 @@ def _pure_power_degree(g: BiPoly, var: str) -> int:
     return deg
 
 
-def _prepare(F, tower: FieldTower | None):
-    polys = list(F)
-    if not polys:
-        raise InvalidInput("empty system")
-    t = polys[0].tower
-    for f in polys[1:]:
-        t = common_tower(t, f.tower)
-    if tower is not None:
-        t = common_tower(t, tower)
-    polys = [f.embed(t) for f in polys]
-    nonzero = [f for f in polys if not f.is_zero()]
-    if not nonzero:
-        raise InvalidInput("every polynomial in the system is zero")
-    return nonzero, t
-
-
 def multiplicity(F, point) -> int:
     """Order of vanishing at a point of a generic member of the system.
 
     Zero when the point is not a basepoint.  A system with a common
     factor raises NonConstantGcd: its pullback gcd is not a power of v.
     """
-    polys, t = _prepare(F, None)
+    polys, t = prepare_system(F)
     return _pure_power_degree(gcd_tuple(pullback_blowup(polys, point, "t")), "v")
 
 
@@ -185,7 +168,7 @@ def strict_transform(F, sequence):
     full power of the exceptional coordinate.  A step whose point is not
     a basepoint of the running system raises NotABasepoint.
     """
-    polys, t = _prepare(F, None)
+    polys, t = prepare_system(F)
     for step in sequence:
         try:
             point, chart = step
@@ -216,7 +199,7 @@ def get_basepoints(F, tower: FieldTower | None = None,
     """
     if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 1:
         raise InvalidInput("max_depth must be a positive integer")
-    polys, t = _prepare(F, tower)
+    polys, t = prepare_system(F, tower)
     records, chain = zero_set(polys, tower=t)
     roots = []
     for rec in records:

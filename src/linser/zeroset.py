@@ -1,8 +1,11 @@
 """Common zeros of finite systems of bivariate polynomials.
 
-The solver eliminates one variable with pairwise resultants, adjoins the
-roots of their gcd as candidates, solves each fiber by univariate gcd,
-and verifies every candidate point by substitution.  All field
+The solver eliminates v once: the u-candidate is the gcd of the members
+free of v, or else one resultant of the first member against a
+combination of the others.  Each irreducible factor of the candidate is
+tried at one root, whose conjugates behave alike; the roots of a factor
+that carries points are adjoined, each fiber is solved by univariate
+gcd, and every candidate point is verified by substitution.  All field
 extensions are threaded through one growing tower, so every coordinate
 that the caller receives embeds into the final tower returned alongside
 the points.
@@ -10,13 +13,15 @@ the points.
 
 from __future__ import annotations
 
+from . import numfield
 from .bipoly import (
+    UniPoly,
     common_tower,
     gcd_tuple,
     resultant,
     uni_gcd_list,
 )
-from .errors import InvalidInput, NonConstantGcd
+from .errors import InvalidInput, LinserError, NonConstantGcd
 from .factorize import adjoin_roots, factor_univariate
 from .numfield import FieldElement, FieldTower
 
@@ -61,24 +66,27 @@ def _as_record(xu: FieldElement, xv: FieldElement, floor: int, chain: FieldTower
     return ZeroPoint(xu.trim().embed(sub), xv.trim().embed(sub), sub)
 
 
+def prepare_system(F, tower: FieldTower | None = None):
+    """The nonzero members of F, embedded in the join of their towers and tower."""
+    polys = list(F)
+    if not polys:
+        raise InvalidInput("empty system")
+    t = polys[0].tower if tower is None else tower
+    for f in polys:
+        t = common_tower(t, f.tower)
+    nonzero = [f.embed(t) for f in polys if not f.is_zero()]
+    if not nonzero:
+        raise InvalidInput("every polynomial in the system is zero")
+    return nonzero, t
+
+
 def zero_set(F, tower: FieldTower | None = None):
     """All common zeros of F, with the tower every coordinate lives in.
 
     Returns (points, final tower).  The points are sorted by the degree of
     the smallest tower that carries them, then by coordinates.
     """
-    polys = list(F)
-    if not polys:
-        raise InvalidInput("empty system")
-    t = polys[0].tower
-    for f in polys[1:]:
-        t = common_tower(t, f.tower)
-    if tower is not None:
-        t = common_tower(t, tower)
-    polys = [f.embed(t) for f in polys]
-    nonzero = [f for f in polys if not f.is_zero()]
-    if not nonzero:
-        raise InvalidInput("every polynomial in the system is zero")
+    nonzero, t = prepare_system(F, tower)
     g = gcd_tuple(nonzero)
     if not g.is_constant():
         raise NonConstantGcd(f"system has the common factor {g}")
@@ -95,87 +103,79 @@ def zero_set(F, tower: FieldTower | None = None):
     return records, chain
 
 
-def _solve_full(polys, t: FieldTower):
-    """Unrestricted solve; polys are nonzero with constant gcd."""
-    if any(f.is_constant() for f in polys):
-        return [], t
-    with_v = [f for f in polys if f.degree("v") > 0]
-    u_only = [f.as_unipoly("u") for f in polys if f.degree("v") == 0]
+def _candidate(polys) -> UniPoly:
+    """A polynomial in u vanishing at the u-coordinate of every common zero.
 
-    cand = None
-    for p in u_only:
-        cand = p if cand is None else cand.gcd(p)
-    if cand is None or not cand.is_constant():
-        done = False
-        for i in range(len(with_v)):
-            if done:
-                break
-            for j in range(i + 1, len(with_v)):
-                r = resultant(with_v[i], with_v[j], "v")
-                if r.is_zero():
-                    continue
-                cand = r.monic() if cand is None else cand.gcd(r)
-                if cand.is_constant():
-                    done = True
-                    break
-    if cand is None:
-        return _solve_split(polys, with_v, t)
+    The gcd of the members free of v, else Res_v(f1, f2 + k*f3 + k^2*f4 + ...)
+    for the first k = 1, 2, ... that makes it nonzero.  With constant gcd,
+    each of the at most deg_v(f1) factors of f1 involving v kills at most
+    len(polys) - 2 values of k.
+    """
+    u_only = [f.as_unipoly("u") for f in polys if f.degree("v") == 0]
+    if u_only:
+        return uni_gcd_list(u_only)
+    f1, *rest = polys
+    if not rest:
+        raise NonConstantGcd("system does not cut out a finite set")
+    for k in range(1, f1.degree("v") * (len(rest) - 1) + 2):
+        g = rest[0]
+        for i, f in enumerate(rest[1:], 1):
+            g = g + f * k**i
+        r = resultant(f1, g, "v")
+        if not r.is_zero():
+            return r.monic()
+    raise LinserError("every combination of the system shares a factor with its first member")
+
+
+def _fiber_gcd(polys, x: FieldElement) -> UniPoly:
+    """Monic gcd in v of the system restricted to the vertical line u = x."""
+    fiber = [f.substitute("u", x) for f in polys]
+    nz = sorted((p for p in fiber if not p.is_zero()), key=lambda p: p.degree())
+    if not nz:
+        raise NonConstantGcd("a vertical line lies in the zero set")
+    return uni_gcd_list(nz)
+
+
+def _fiber_roots(gv: UniPoly, known, chain: FieldTower):
+    """The sorted roots of gv, adjoining only those not among the known values."""
+    ys = []
+    for y in known:
+        y = y.embed(chain)
+        if not gv.eval(y) and all(y != z for z in ys):
+            ys.append(y)
+            gv = gv.exact_div(UniPoly(chain, gv.var, [-y, chain.one()]))
+    if gv.degree() > 0:
+        new, chain = adjoin_roots(gv, chain)
+        ys = [y.embed(chain) for y in ys]
+        ys += [r for r in new if all(r != y for y in ys)]
+    ys.sort(key=FieldElement.sort_key)
+    return ys, chain
+
+
+def _solve_full(polys, t: FieldTower):
+    """Solve polys, nonzero with constant gcd over t; returns (points, tower)."""
+    cand = _candidate(polys)
     if cand.degree() <= 0:
         return [], t
 
     chain = t
     found = []
     for q, _ in factor_univariate(cand):
-        trial = chain
         if q.degree() == 1:
-            xs = [(-q.coeffs[0]).embed(trial)]
+            xs = [(-q.coeffs[0]).embed(chain)]
         else:
-            xs, trial = adjoin_roots(q, trial)
-        hit = False
-        for x in xs:
-            x = x.embed(trial)
-            fiber = [f.substitute("u", x) for f in polys]
-            nz = [p for p in fiber if not p.is_zero()]
-            if not nz:
-                raise NonConstantGcd("a vertical line lies in the zero set")
-            if any(p.degree() == 0 for p in nz):
+            # the roots of q are conjugate over t: one decides for all
+            _, _, alpha = numfield.extend_field(t, q)
+            if _fiber_gcd(polys, alpha).degree() <= 0:
                 continue
-            gv = uni_gcd_list(nz)
+            xs, chain = adjoin_roots(q, chain)
+        for x in xs:
+            gv = _fiber_gcd(polys, x.embed(chain))
             if gv.degree() <= 0:
                 continue
-            ys, trial = adjoin_roots(gv, trial)
-            x = x.embed(trial)
+            ys, chain = _fiber_roots(gv, [y for _, y in found], chain)
+            x = x.embed(chain)
             for y in ys:
                 if all(not f.eval((x, y)) for f in polys):
                     found.append((x, y))
-                    hit = True
-        if hit:
-            chain = trial
     return [(a.embed(chain), b.embed(chain)) for a, b in found], chain
-
-
-def _solve_split(polys, with_v, t: FieldTower):
-    """Fallback when every resultant pair vanishes: split off a shared factor.
-
-    With h = gcd of the first pair, V(F) is the disjoint union of the
-    zeros of (F minus the pair, plus h) and the zeros of (F with the pair
-    replaced by its cofactors) away from h.  Both subsystems have smaller
-    total degree, so the recursion bottoms out.
-    """
-    if len(with_v) < 2:
-        raise NonConstantGcd("system does not cut out a finite set")
-    f1, f2 = with_v[0], with_v[1]
-    h = gcd_tuple([f1, f2])
-    if h.is_constant():
-        raise InvalidInput("resultant vanished for a coprime pair")
-    rest = [f for f in polys if f is not f1 and f is not f2]
-    on_h = rest + [h]
-    pts_a, chain = _solve_full([f.embed(t) for f in on_h], t)
-    off_h = [f1.exact_div(h), f2.exact_div(h)] + rest
-    pts_b, chain = _solve_full([f.embed(chain) for f in off_h], chain)
-    out = [(a.embed(chain), b.embed(chain)) for a, b in pts_a]
-    hh = h.embed(chain)
-    for a, b in pts_b:
-        if hh.eval((a.embed(chain), b.embed(chain))):
-            out.append((a.embed(chain), b.embed(chain)))
-    return out, chain

@@ -294,12 +294,15 @@ def _sum_of_squared_mults(nodes):
         (["u*v - 1", "u^2 + v^2 - 5"], 4),
         (["v^2 - u^3", "u^2 - v^3"], 9),
         (["u^4 + u + 1", "v - u^2"], 4),
+        (["u^3 - 2", "v^3 - 3"], 9),
     ],
 )
 def test_basepoints_over_quartic_towers(series, dim):
     # The first two systems need a degree-4 tower whose minimal polynomial
     # has a t^2 term; the third needs the degree-24 splitting field of
-    # u^4 + u + 1.  For a pencil without common factor, the squared
+    # u^4 + u + 1; in the fourth, the fiber over each root of u^3 - 2 is
+    # v^3 - 3, whose roots are adjoined for the first fiber only, reaching a
+    # tower of degree 18.  For a pencil without common factor, the squared
     # multiplicities over the whole tree add up to dim Q[u,v]/(f, g).
     doc = {"series": series}
     out = run("basepoints", "-", stdin=json.dumps(doc).encode(), timeout=20)

@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from linser import zeroset
 from linser.errors import InvalidInput, NonConstantGcd
 from linser.numfield import QQ, extend_field
 from linser.parsing import parse_bipoly
 from linser.zeroset import zero_set
+
+QUINTIC_TEXTS = (
+    "u^5", "u^4*v", "u^4", "u^3*v^2", "u^3*v", "u^3", "u^2*v^3", "u^2*v^2",
+    "u^2*v", "u^2", "u*v^4", "u*v^3", "u*v^2", "u*v", "v^5 - v^2",
+    "v^4 - v^2", "v^3 - v^2",
+)
 
 
 def bp(text, tower=QQ):
@@ -67,16 +74,64 @@ def test_constant_in_system_means_empty():
 
 def test_split_fallback_three_line_cycle():
     # Every pairwise resultant vanishes identically because each pair of
-    # generators shares one line; the solver has to split factors off.
+    # generators shares one line; the solver has to eliminate against a
+    # combination of two of them.
     a, b, c = bp("u - v"), bp("u + v"), bp("u - 2*v - 1")
     points, _ = zero_set([a * b, b * c, c * a])
     assert coords(points) == [("0", "0"), ("-1", "-1"), ("1/3", "-1/3")]
+    # the same cycle with a conic in place of the third line: the conic
+    # meets each line twice, over Q(sqrt 2)
+    a, b, c = bp("u - v"), bp("u + v"), bp("u^2 - 2*v - 1")
+    F = [a * b, b * c, c * a]
+    points, chain = zero_set(F)
+    assert len(points) == 5
+    assert chain.degree() == 2
+    for p in points:
+        for f in F:
+            assert f.embed(chain).eval(p.embed(chain)).is_zero()
 
 
 def test_split_fallback_with_parallel_pair():
     a, b, c = bp("u - v"), bp("u + v"), bp("u + v - 1")
     points, _ = zero_set([a * b, b * c, c * a])
     assert coords(points) == [("0", "0"), ("1/2", "1/2")]
+
+
+def _count_resultants(monkeypatch):
+    calls = []
+    real = zeroset.resultant
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(zeroset, "resultant", counted)
+    return calls
+
+
+def test_members_free_of_v_need_no_resultant(monkeypatch):
+    calls = _count_resultants(monkeypatch)
+    points, _ = zero_set([bp(s) for s in QUINTIC_TEXTS])
+    assert coords(points) == [("0", "0"), ("0", "1")]
+    assert calls == []
+
+
+def test_one_resultant_when_every_pair_shares_a_line(monkeypatch):
+    # Res_v(f1, f2) vanishes; Res_v(f1, f2 + f3) does not
+    calls = _count_resultants(monkeypatch)
+    a, b, c = bp("u - v"), bp("u + v"), bp("u - 2*v - 1")
+    points, _ = zero_set([a * b, b * c, c * a])
+    assert len(points) == 3
+    assert len(calls) == 1
+
+
+def test_candidate_factor_without_points_is_skipped():
+    # u^3 - 3 divides the candidate, but v and v + u^2 - 2 have no common
+    # zero over it, so only Q(sqrt 2) is adjoined
+    F = [bp("(u^2 - 2)*(u^3 - 3)"), bp("v"), bp("v + u^2 - 2")]
+    points, chain = zero_set(F)
+    assert coords(points) == [("-a0", "0"), ("a0", "0")]
+    assert chain.degree() == 2
 
 
 def _line(alpha, beta, gamma):
