@@ -10,6 +10,7 @@ precondition fails (common factor, missing adjoint, not a basepoint),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -216,7 +217,9 @@ def _cmd_strict_transform(args):
     return _series_json(out, t)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it was, so every main() in a process shares one
     parser = argparse.ArgumentParser(
         prog="linser",
         description="Basepoint trees, linear series and lattice invariants "

@@ -126,16 +126,41 @@ class ConstraintMatrix:
         return f"<ConstraintMatrix {len(self.rows)}x{self.ncols}>"
 
 
+def _expansion_orders(node: BasepointNode, orders: dict):
+    """Record, under id(node), the total degree below which the rows of
+    node's subtree read its expansion: mult plus the largest order among
+    its children, or None (expand in full) when a child lies off its
+    exceptional line or has no order itself."""
+    below = 0
+    for children, axis in ((node.children_t, 1), (node.children_s, 0)):
+        for child in children:
+            order = _expansion_orders(child, orders)
+            if below is None or order is None or not child.point[axis].is_zero():
+                below = None
+            else:
+                below = max(below, order)
+    orders[id(node)] = None if below is None else node.mult + below
+    return orders[id(node)]
+
+
 def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
     """The condition matrix imposed on G's coefficients by a basepoint tree.
 
     Rows follow the tree's node order; each node contributes the
     m(m+1)/2 derivative rows of all orders a+b < m, taken on the current
     transform of the generators: a!*b! times the (a, b) coefficients of
-    one expansion about the node, which a leaf needs only below degree m.
-    Entering a branch relabels that expansion into the chart and divides
-    by the exceptional power, discarding remainders (their vanishing is
-    what the rows at the node already encode).
+    one expansion about the node.  Entering a branch relabels that
+    expansion into the chart and divides by the exceptional power,
+    discarding remainders (their vanishing is what the rows at the node
+    already encode).
+
+    Each expansion stops below the node's subtree order (see
+    ``_expansion_orders``): chart t turns u^a v^b into u^a v^(a+b-m),
+    and a child on the line v = 0 shifts only u, so every term it gets
+    from there has total degree at least a+b-m and a term with
+    a+b >= m + order(child) reaches no row below.  Chart s is the same
+    with u and v swapped.  A subtree holding a child off its exceptional
+    line has no such bound, and the nodes above it expand in full.
     """
     if not isinstance(tree, BasepointTree):
         raise InvalidInput("expected a basepoint tree")
@@ -145,12 +170,14 @@ def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
         raise InvalidInput("the series has no generators")
     t = common_tower(tree.tower, G.tower)
     origin = (t.zero(), t.zero())
+    orders = {}
+    for root in tree.roots:
+        _expansion_orders(root, orders)
     rows = []
 
     def visit(node: BasepointNode, polys):
         point = (node.point[0].embed(t), node.point[1].embed(t))
-        leaf = not node.children_t and not node.children_s
-        shifted = taylor_shift(polys, point, node.mult if leaf else None)
+        shifted = taylor_shift(polys, point, orders[id(node)])
         for a in range(node.mult):
             for b in range(node.mult - a):
                 scale = factorial(a) * factorial(b)
@@ -181,14 +208,16 @@ def kernel_basis(M: ConstraintMatrix):
 
 def kernel_members(M: ConstraintMatrix, G: LinearSeries, kernel) -> LinearSeries:
     """The members of G whose coefficients are the kernel vectors of M."""
-    gens = [g.embed(M.tower) for g in G.generators]
+    gens = [g.embed(M.tower).terms() for g in G.generators]
     out = []
     for vec in kernel:
-        f = BiPoly.zero(M.tower)
-        for c, g in zip(vec, gens):
+        acc = {}
+        for c, terms in zip(vec, gens):
             if c:
-                f = f + g * BiPoly.constant(M.tower, c)
-        out.append(f)
+                for e, x in terms.items():
+                    prod = c * x
+                    acc[e] = acc[e] + prod if e in acc else prod
+        out.append(BiPoly(M.tower, acc))
     # independent kernel vectors applied to an independent G stay independent
     return LinearSeries._known_independent(out, M.tower)
 
@@ -201,21 +230,15 @@ def series_through(tree: BasepointTree, G: LinearSeries) -> LinearSeries:
 
 def monomial_basis(spec) -> LinearSeries:
     """Every monomial allowed by the degree bound, in a fixed order."""
-    u = BiPoly.variable(QQ, "u")
-    v = BiPoly.variable(QQ, "v")
-    gens = []
     if isinstance(spec, TotalDegree):
-        for j in range(spec.degree, -1, -1):
-            for k in range(spec.degree - j, -1, -1):
-                gens.append(u ** j * v ** k)
+        d = spec.degree
+        exps = [(j, k) for j in range(d, -1, -1) for k in range(d - j, -1, -1)]
     elif isinstance(spec, Bidegree):
-        for j in range(spec.deg_u + 1):
-            for k in range(spec.deg_v + 1):
-                gens.append(u ** j * v ** k)
+        exps = [(j, k) for j in range(spec.deg_u + 1) for k in range(spec.deg_v + 1)]
     else:
         raise InvalidInput(f"unknown degree specification {spec!r}")
     # distinct monomials never overlap in support
-    return LinearSeries._known_independent(gens, QQ)
+    return LinearSeries._known_independent([BiPoly(QQ, {e: 1}) for e in exps], QQ)
 
 
 def fits_degree(poly: BiPoly, spec) -> bool:

@@ -429,6 +429,12 @@ class FieldElement:
         return tuple(self.terms())
 
     def __str__(self) -> str:
+        if not any(self.num):
+            return "0"
+        if len(self.num) == 1:
+            # QQ: the pair is already in lowest terms
+            sign, text = _term(self.num[0], self.den)
+            return "-" + text if sign < 0 else text
         names = self.tower.names()
         return _signed_sum(_term(n, d, _monomial_text(names, e)) for e, n, d in self.terms())
 

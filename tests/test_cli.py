@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from linser import cli
 from linser.cli import MAX_BASIS_DEGREE
 from linser.numfield import MAX_DIGITS, QQ
 from linser.parsing import MAX_EXPONENT, MAX_NESTING, parse_bipoly
@@ -41,6 +42,22 @@ def test_basepoints_golden():
     assert out.returncode == 0
     assert out.stdout == golden_bytes("ex2_basepoints.out.json")
     assert out.stderr == b""
+
+
+def test_main_called_repeatedly_in_one_process(capsys):
+    # the parser is built once per process; later calls must not see state
+    # left by earlier ones, a failed parse included
+    assert cli.main(["basepoints", gpath("ex2_input.json")]) == 0
+    assert capsys.readouterr().out.encode() == golden_bytes("ex2_basepoints.out.json")
+    argv = ["series", gpath("ex2_basepoints.out.json"), "--basis", "deg:2"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == golden_bytes("ex2_series.out.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", gpath("ex2_basepoints.out.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert cli.main(["basepoints", gpath("ex2_input.json")]) == 0
+    assert capsys.readouterr().out.encode() == golden_bytes("ex2_basepoints.out.json")
 
 
 def test_basepoints_deterministic():

@@ -1,9 +1,12 @@
 """Tests for linear series with assigned basepoints."""
 
+from math import factorial
+
 import pytest
 
-from linser import _gauss
-from linser.baselocus import BasepointNode, BasepointTree, get_basepoints
+from linser import _gauss, linseries
+from linser.baselocus import BasepointNode, BasepointTree, get_basepoints, tree_from_json
+from linser.bipoly import BiPoly, common_tower
 from linser.errors import InvalidInput, NoAdjoint
 from linser.linseries import (
     Bidegree,
@@ -278,3 +281,130 @@ def test_span_containment():
     assert not span_contains(small, big)
     assert span_contains(big, LinearSeries([]))
     assert not spans_equal(big, small)
+
+
+def reference_rows(tree, G):
+    """The rows as computed without truncation: the full expansion about
+    each node, then the chart relabel and the division by the exceptional
+    power on the way to its children."""
+    t = common_tower(tree.tower, G.tower)
+    u, v = BiPoly.variable(t, "u"), BiPoly.variable(t, "v")
+    rows = []
+
+    def visit(node, polys):
+        x, y = (BiPoly.constant(t, c.embed(t)) for c in node.point)
+        shifted = [f.subs_polys(u + x, v + y) for f in polys]
+        for a in range(node.mult):
+            for b in range(node.mult - a):
+                scale = factorial(a) * factorial(b)
+                rows.append(tuple(f.coeff(a, b) * scale for f in shifted))
+        for children, var, relabel in (
+            (node.children_t, "v", lambda a, b: (a, a + b)),
+            (node.children_s, "u", lambda a, b: (a + b, b)),
+        ):
+            pulled = [BiPoly(t, {relabel(*e): c for e, c in f.terms().items()}) for f in shifted]
+            for child in children:
+                visit(child, [f.shift_down(var, node.mult) for f in pulled])
+
+    for root in tree.roots:
+        visit(root, [g.embed(t) for g in G.generators])
+    return rows
+
+
+def tree_doc(roots, tower=()):
+    """A validated tree from specs (point, mult, children_t, children_s)."""
+
+    def build(spec, seq):
+        point, mult, kids_t, kids_s = spec
+        return {
+            "sequence": seq,
+            "point": list(point),
+            "mult": mult,
+            "children_t": [build(c, seq + [[list(point), "t"]]) for c in kids_t],
+            "children_s": [build(c, seq + [[list(point), "s"]]) for c in kids_s],
+        }
+
+    return tree_from_json({"tower": list(tower), "tree": [build(r, []) for r in roots]})
+
+
+def chain(root, steps, mults):
+    """A proper point, then one infinitely near point per (chart, point) step."""
+    points = [root] + [pt for _, pt in steps]
+    spec = (points[-1], mults[-1], [], [])
+    for k in range(len(steps) - 1, -1, -1):
+        kids = {"t": [], "s": []}
+        kids[steps[k][0]].append(spec)
+        spec = (points[k], mults[k], kids["t"], kids["s"])
+    return spec
+
+
+GAUSS = ({"name": "i", "minpoly": "t^2 + 1"},)
+
+# the shapes of the bench's chain and conjugate slots, at moved centres
+TRUNCATION_CASES = (
+    ((), [chain(("2", "-1"), [("t", ("3", "0")), ("t", ("-1/2", "0"))], (2, 2, 1))],
+     TotalDegree(4)),
+    ((), [chain(("-3/2", "1/3"), [("s", ("0", "0")), ("t", ("2", "0")), ("t", ("-1", "0"))],
+                (3, 2, 2, 1))], TotalDegree(6)),
+    ((), [chain(("0", "0"), [("t", (x, "0")) for x in ("1", "-2", "1/3", "3")],
+                (2, 2, 2, 1, 1))], TotalDegree(6)),
+    ((), [chain(("1", "1"), [("t", (x, "0")) for x in ("2", "-1", "1/2", "3", "-3")],
+                (1,) * 6)], TotalDegree(5)),
+    ((), [chain(("-2", "3"),
+                [("s", ("0", "2"))] + [("t", (x, "0")) for x in ("1", "-1", "2", "1/2")],
+                (2, 1, 1, 1, 1, 1))], TotalDegree(6)),
+    ((), [chain(("1/2", "-2"), [("s", ("0", "0")), ("t", ("1", "0")), ("t", ("2", "0"))],
+                (2, 2, 1, 1))], Bidegree(3, 2)),
+    ((), [(("1", "-1"), 3,
+           [(("2", "0"), 2, [(("1", "0"), 1, [], [])], []), (("-1", "0"), 1, [], [])],
+           [(("0", "1/2"), 1, [], [(("0", "0"), 1, [], [])])])], TotalDegree(6)),
+    (GAUSS, [chain(("1 + i", "-2"), [("t", ("i", "0")), ("s", ("0", "-i")), ("t", ("2", "0"))],
+                   (3, 2, 1, 1))], TotalDegree(5)),
+    (GAUSS, [chain(("1 + 2*i", "3"), [("t", ("i", "0"))], (2, 1)),
+             chain(("1 - 2*i", "3"), [("t", ("-i", "0"))], (2, 1))], TotalDegree(4)),
+)
+
+
+@pytest.mark.parametrize("tower, roots, spec", TRUNCATION_CASES)
+def test_truncated_rows_match_full_expansion(tower, roots, spec):
+    tree = tree_doc(roots, tower)
+    G = monomial_basis(spec)
+    assert list(set_basepoints(tree, G).rows) == reference_rows(tree, G)
+
+
+def spy_orders(monkeypatch):
+    orders = []
+    shift = linseries.taylor_shift
+
+    def spy(polys, point, order=None):
+        orders.append(order)
+        return shift(polys, point, order)
+
+    monkeypatch.setattr(linseries, "taylor_shift", spy)
+    return orders
+
+
+def test_every_node_of_a_loaded_tree_expands_to_a_finite_order(monkeypatch):
+    orders = spy_orders(monkeypatch)
+    for tower, roots, spec in TRUNCATION_CASES:
+        set_basepoints(tree_doc(roots, tower), monomial_basis(spec))
+    assert orders and all(isinstance(o, int) for o in orders)
+    # the subtree order: the node's multiplicity plus the largest child order
+    orders.clear()
+    tower, roots, spec = TRUNCATION_CASES[6]
+    set_basepoints(tree_doc(roots, tower), monomial_basis(spec))
+    assert orders == [6, 3, 1, 1, 2, 1]
+
+
+def test_child_off_its_line_falls_back_to_full_expansion(monkeypatch):
+    one, two, three = (QQ.rational(n) for n in (1, 2, 3))
+    root = (one, two)
+    # a T-child must lie on v = 0 and an S-child on u = 0; these do not
+    off_t = BasepointNode(((root, "t"),), (three, one), 1)
+    off_s = BasepointNode(((root, "s"),), (one, two), 1)
+    G = monomial_basis(TotalDegree(4))
+    orders = spy_orders(monkeypatch)
+    for kids_t, kids_s in (((off_t,), ()), ((), (off_s,))):
+        tree = BasepointTree((BasepointNode((), root, 2, kids_t, kids_s),), QQ)
+        assert list(set_basepoints(tree, G).rows) == reference_rows(tree, G)
+    assert orders == [None, 1, None, 1]

@@ -30,6 +30,12 @@ def test_rational_tower_basics():
     assert half.as_rational() == Fraction(1, 2)
     assert half + half == QQ.one()
     assert (half - half).is_zero()
+    assert str(half - half) == "0"
+    assert str(gaussian()[0].zero()) == "0"
+    assert str(QQ.rational(-12)) == "-12"
+    assert str(QQ.rational(Fraction(-3, 7))) == "-3/7"
+    assert str(QQ.rational(Fraction(6, -14))) == "-3/7"
+    assert str(gaussian()[0].rational(Fraction(-3, 7))) == "-3/7"
 
 
 def test_extension_arithmetic():
