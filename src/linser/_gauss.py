@@ -1,16 +1,25 @@
-"""Exact Gauss–Jordan elimination over any field-like scalar type.
+"""Exact Gauss–Jordan elimination over a field tower.
 
-Scalars must support +, -, *, 1 / x and be falsy exactly when zero, which
-holds for Fraction and for FieldElement.  The pivot row is scaled by
+Scalars are FieldElements of one tower.  The pivot row is scaled by
 1 / pivot and the pivot column cleared in every other row, skipping zeros.
+A matrix over QQ is reduced on integer rows instead (fraction-free, as in
+Bareiss's elimination): each row is kept primitive, and the pivot rows are
+divided by their pivots once at the end.  The reduced form is unique, so
+both give the same elements.
 """
 
 from __future__ import annotations
+
+from math import gcd
+
+from .numfield import integer_row, rational_row
 
 
 def rref(rows):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]
+    if rows and rows[0] and rows[0][0].tower.degree() == 1:
+        return _rref_rational(rows)
     n = len(rows[0]) if rows else 0
     pivots = []
     for c in range(n):
@@ -32,6 +41,38 @@ def rref(rows):
                     row[j] = row[j] - f * prow[j]
         pivots.append(c)
     return rows[: len(pivots)], pivots
+
+
+def _rref_rational(rows):
+    """rref of a matrix over QQ, on primitive integer rows."""
+    tower = rows[0][0].tower
+    rows = [integer_row(r) for r in rows]
+    n = len(rows[0])
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        pivot = prow[c]
+        nz = [j for j in range(c, n) if prow[j]]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if b and i != r:
+                # row <- a*row - b*prow, with a, b the pivot and the entry
+                # over their gcd, then divided by its content
+                g = gcd(pivot, b)
+                a, b = pivot // g, b // g
+                if a != 1:
+                    row = [a * x for x in row]
+                for j in nz:
+                    row[j] -= b * prow[j]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return [rational_row(tower, rows[i], rows[i][c]) for i, c in enumerate(pivots)], pivots
 
 
 def rank(rows) -> int:

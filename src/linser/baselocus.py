@@ -44,6 +44,11 @@ class BasepointNode:
         self.mult = mult
         self.children_t = tuple(children_t)
         self.children_s = tuple(children_s)
+        # the exceptional line is v = 0 in chart t and u = 0 in chart s
+        if any(c.point[1] for c in self.children_t):
+            raise InvalidInput("a T-branch child must have v-coordinate 0")
+        if any(c.point[0] for c in self.children_s):
+            raise InvalidInput("an S-branch child must have u-coordinate 0")
 
     def children(self):
         return self.children_t + self.children_s
@@ -353,10 +358,6 @@ def _node_from_json(data, tower, parent_seq, parent_point, chart, depth, max_dep
     if seq != expected_seq:
         raise InvalidInput("node sequence does not match its position in the tree")
     point = _parse_point(data["point"], tower)
-    if chart == "t" and point[1]:
-        raise InvalidInput("a T-branch child must have v-coordinate 0")
-    if chart == "s" and point[0]:
-        raise InvalidInput("an S-branch child must have u-coordinate 0")
     mult = data["mult"]
     if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
         raise InvalidInput(f"multiplicity must be a positive integer: {mult!r}")

@@ -179,8 +179,9 @@ class UniPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def divmod(self, other: "UniPoly"):
@@ -449,8 +450,9 @@ class BiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def substitute(self, var: str, value) -> UniPoly:

@@ -126,20 +126,12 @@ class ConstraintMatrix:
         return f"<ConstraintMatrix {len(self.rows)}x{self.ncols}>"
 
 
-def _expansion_orders(node: BasepointNode, orders: dict):
+def _expansion_orders(node: BasepointNode, orders: dict) -> int:
     """Record, under id(node), the total degree below which the rows of
     node's subtree read its expansion: mult plus the largest order among
-    its children, or None (expand in full) when a child lies off its
-    exceptional line or has no order itself."""
-    below = 0
-    for children, axis in ((node.children_t, 1), (node.children_s, 0)):
-        for child in children:
-            order = _expansion_orders(child, orders)
-            if below is None or order is None or not child.point[axis].is_zero():
-                below = None
-            else:
-                below = max(below, order)
-    orders[id(node)] = None if below is None else node.mult + below
+    its children."""
+    below = max((_expansion_orders(c, orders) for c in node.children()), default=0)
+    orders[id(node)] = node.mult + below
     return orders[id(node)]
 
 
@@ -159,8 +151,7 @@ def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
     and a child on the line v = 0 shifts only u, so every term it gets
     from there has total degree at least a+b-m and a term with
     a+b >= m + order(child) reaches no row below.  Chart s is the same
-    with u and v swapped.  A subtree holding a child off its exceptional
-    line has no such bound, and the nodes above it expand in full.
+    with u and v swapped.
     """
     if not isinstance(tree, BasepointTree):
         raise InvalidInput("expected a basepoint tree")

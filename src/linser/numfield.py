@@ -219,6 +219,27 @@ def _sum(x: "FieldElement", y: "FieldElement", op) -> "FieldElement":
     return _normal(x.tower, [op(p * ma, q * mb) for p, q in zip(a, b)], da * ma)
 
 
+def integer_row(row) -> list[int]:
+    """The primitive integer row proportional to a row of rational elements:
+    denominators cleared and the content divided out."""
+    den = lcm(*(x.den for x in row))
+    out = [x.num[0] * (den // x.den) for x in row]
+    g = gcd(*out)
+    return out if g < 2 else [x // g for x in out]
+
+
+def rational_row(tower: FieldTower, row, den: int) -> list["FieldElement"]:
+    """The elements row[j] / den of a rational tower, for an integer row and
+    a nonzero integer den."""
+    if den < 0:
+        row, den = [-x for x in row], -den
+    out = []
+    for x in row:
+        g = gcd(x, den)
+        out.append(FieldElement(tower, (x // g,), den // g))
+    return out
+
+
 class FieldElement:
     """An element of a FieldTower: numerator vector over one denominator."""
 
@@ -365,8 +386,9 @@ class FieldElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- structure ----------------------------------------------------------

@@ -16,6 +16,9 @@ from .bipoly import BiPoly, UniPoly
 _OPS = set("+-*^()/")
 MAX_NESTING = 100  # keeps the recursive descent inside Python's recursion limit
 MAX_EXPONENT = 10_000  # u^MAX_EXPONENT + v still ends at the blowup depth guard
+# coefficient products per expression: (u+v)^1000 takes about 416k,
+# (u+v)^3000 about 3.6M
+MAX_PRODUCTS = 1_000_000
 
 
 def _tokenize(text: str):
@@ -57,13 +60,35 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over the token list, building through an atom factory."""
+    """Recursive descent over the token list, building through an atom factory.
+
+    Every product goes through _mul, which charges len(a) * len(b)
+    coefficient products, in the atoms' sizes, against MAX_PRODUCTS."""
 
     def __init__(self, text: str, atoms):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.atoms = atoms
+        self.products = 0
+
+    def _mul(self, a, b):
+        self.products += self.atoms.size(a) * self.atoms.size(b)
+        if self.products > MAX_PRODUCTS:
+            raise SizeLimitExceeded(
+                f"expression needs more than {MAX_PRODUCTS} coefficient products"
+            )
+        return a * b
+
+    def _power(self, base, n: int):
+        result = self.atoms.from_rational(Rational(1))
+        while n:
+            if n & 1:
+                result = self._mul(result, base)
+            n >>= 1
+            if n:
+                base = self._mul(base, base)
+        return result
 
     def _peek(self):
         return self.toks[self.i]
@@ -105,7 +130,7 @@ class _Parser:
             kind, val, _ = self._peek()
             if kind == "OP" and val == "*":
                 self._next()
-                value = value * self._factor()
+                value = self._mul(value, self._factor())
             else:
                 return value
 
@@ -129,7 +154,7 @@ class _Parser:
                 raise SizeLimitExceeded(
                     f"exponent at position {tok[2]} exceeds {MAX_EXPONENT}"
                 )
-            value = value ** int(tok[1])
+            value = self._power(value, int(tok[1]))
         return value
 
     def _int(self, tok):
@@ -173,6 +198,10 @@ class _BiAtoms:
     def from_rational(self, q):
         return BiPoly.constant(self.tower, q)
 
+    @staticmethod
+    def size(p: BiPoly) -> int:
+        return len(p.terms())
+
     def from_name(self, name, pos):
         if name in ("u", "v"):
             return BiPoly.variable(self.tower, name)
@@ -193,6 +222,10 @@ class _UniAtoms:
     def from_rational(self, q):
         return UniPoly.constant(self.tower, self.var, q)
 
+    @staticmethod
+    def size(p: UniPoly) -> int:
+        return len(p.coeffs)
+
     def from_name(self, name, pos):
         if name == self.var:
             return UniPoly.variable(self.tower, self.var)
@@ -211,6 +244,10 @@ class _ElemAtoms:
 
     def from_rational(self, q):
         return self.tower.rational(q)
+
+    @staticmethod
+    def size(x: FieldElement) -> int:
+        return 1
 
     def from_name(self, name, pos):
         if name in self.tower.names():

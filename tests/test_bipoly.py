@@ -139,6 +139,19 @@ def test_powers_of_high_degree():
     assert p.subs_polys(bp("v"), bp("u")) == bp("v^1200 + u")
 
 
+def test_powers_square_only_while_bits_remain(monkeypatch):
+    # 400 = 0b110010000: eight squarings and three products, in the
+    # parser's power loop and in __pow__ alike
+    calls = []
+    mul = BiPoly.__mul__
+    monkeypatch.setattr(BiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    expected = bp("(u+v)^400")
+    assert len(calls) == 11
+    calls.clear()
+    assert bp("u+v") ** 400 == expected
+    assert len(calls) == 11
+
+
 def test_exact_div():
     p = bp("u^2 - v^2")
     q = bp("u + v")

@@ -266,6 +266,16 @@ def test_exit_4_on_exponent_past_the_bound():
         assert b"exponent" in out.stderr and b"Traceback" not in out.stderr
 
 
+def test_exit_4_on_expansion_past_the_product_budget():
+    # (u+v)^3000 needs about 3.6M coefficient products, (u+v+1)^250 about 73M
+    for text in ("(u+v)^3000", "(u+v+1)^250"):
+        doc = {"series": ["v", text]}
+        out = run("basepoints", "-", stdin=json.dumps(doc).encode(), timeout=20)
+        assert out.returncode == 4, text
+        assert out.stdout == b""
+        assert b"coefficient products" in out.stderr and b"Traceback" not in out.stderr
+
+
 def test_exit_4_on_basis_degree_past_the_bound():
     out = run("series", gpath("empty_tree.json"), "--basis",
               f"bideg:{MAX_BASIS_DEGREE},0", timeout=20)

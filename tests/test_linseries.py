@@ -396,15 +396,17 @@ def test_every_node_of_a_loaded_tree_expands_to_a_finite_order(monkeypatch):
     assert orders == [6, 3, 1, 1, 2, 1]
 
 
-def test_child_off_its_line_falls_back_to_full_expansion(monkeypatch):
+def test_child_off_its_line_is_rejected():
     one, two, three = (QQ.rational(n) for n in (1, 2, 3))
     root = (one, two)
     # a T-child must lie on v = 0 and an S-child on u = 0; these do not
     off_t = BasepointNode(((root, "t"),), (three, one), 1)
     off_s = BasepointNode(((root, "s"),), (one, two), 1)
-    G = monomial_basis(TotalDegree(4))
-    orders = spy_orders(monkeypatch)
-    for kids_t, kids_s in (((off_t,), ()), ((), (off_s,))):
-        tree = BasepointTree((BasepointNode((), root, 2, kids_t, kids_s),), QQ)
-        assert list(set_basepoints(tree, G).rows) == reference_rows(tree, G)
-    assert orders == [None, 1, None, 1]
+    with pytest.raises(InvalidInput, match="T-branch child"):
+        BasepointNode((), root, 2, (off_t,))
+    with pytest.raises(InvalidInput, match="S-branch child"):
+        BasepointNode((), root, 2, (), (off_s,))
+    # on their lines the same children are accepted
+    on_t = BasepointNode(((root, "t"),), (three, QQ.zero()), 1)
+    on_s = BasepointNode(((root, "s"),), (QQ.zero(), two), 1)
+    assert BasepointNode((), root, 2, (on_t,), (on_s,)).children() == (on_t, on_s)
