@@ -5,7 +5,8 @@ Scalars are FieldElements of one tower.  The pivot row is scaled by
 A matrix over QQ is reduced on integer rows instead (fraction-free, as in
 Bareiss's elimination): each row is kept primitive, and the pivot rows are
 divided by their pivots once at the end.  The reduced form is unique, so
-both give the same elements.
+both give the same elements.  That integer elimination, integer_rref, also
+inverts field elements: numfield solves x * y = 1 with it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,18 @@ def _rref_rational(rows):
     """rref of a matrix over QQ, on primitive integer rows."""
     tower = rows[0][0].tower
     rows = [integer_row(r) for r in rows]
-    n = len(rows[0])
+    pivots = integer_rref(rows)
+    return [rational_row(tower, rows[i], rows[i][c]) for i, c in enumerate(pivots)], pivots
+
+
+def integer_rref(rows) -> list[int]:
+    """Reduce integer rows in place, fraction-free; returns the pivot columns.
+
+    Afterwards row i, for i < len(pivots), has its first nonzero entry at
+    pivots[i] and zeros in the other pivot columns, and the rows below are
+    zero.  Each row changed is primitive, so row i divided by its pivot is
+    the reduced row echelon form."""
+    n = len(rows[0]) if rows else 0
     pivots = []
     for c in range(n):
         r = len(pivots)
@@ -72,7 +84,7 @@ def _rref_rational(rows):
                 g = gcd(*row)
                 rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-    return [rational_row(tower, rows[i], rows[i][c]) for i, c in enumerate(pivots)], pivots
+    return pivots
 
 
 def rank(rows) -> int:

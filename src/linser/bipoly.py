@@ -2,8 +2,7 @@
 
 BiPoly is a sparse bivariate polynomial with FieldElement coefficients.
 UniPoly is the one dense univariate kernel: coefficient arithmetic,
-factoring, root work, and field inversion (numfield inverts an element
-with UniPoly.inverse_mod).  The module also provides the handful of
+factoring and root work.  The module also provides the handful of
 global operations the blowup machinery needs: gcds and resultants, both
 read off one subresultant PRS, exact division by a power of a variable,
 and the one blowup primitive, taylor_shift, which expands polynomials
@@ -21,7 +20,6 @@ from math import comb, factorial
 from .errors import (
     DivisionByZero,
     FieldMismatch,
-    InvalidExtension,
     InvalidInput,
     NotDivisible,
 )
@@ -224,22 +222,6 @@ class UniPoly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
-
-    def inverse_mod(self, m: "UniPoly") -> "UniPoly":
-        """The u with u*self == 1 modulo an irreducible m, by extended Euclid."""
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        r0, u0 = m, UniPoly.zero(self.tower, self.var)
-        r1, u1 = self, UniPoly.one(self.tower, self.var)
-        while True:
-            q, r = r0.divmod(r1)
-            if r.is_zero():
-                break
-            r0, u0, r1, u1 = r1, u1, r, u0 - q * u1
-        if not r1.is_constant():
-            raise InvalidExtension("modulus is not irreducible over its tower")
-        inv = r1.lc().inverse()
-        return UniPoly(self.tower, self.var, [c * inv for c in u1.coeffs])
 
     def derivative(self) -> "UniPoly":
         return UniPoly(

@@ -12,9 +12,9 @@ equality compares numerators and denominators.
 
 A product is one integer convolution on exponents, then one pass over a
 per-tower table, built on first use, that rewrites each monomial past a
-generator's degree in the basis.  An element is inverted as a polynomial
-in the top generator, modulo that generator's minimal polynomial, by
-bipoly.UniPoly.inverse_mod over the tower below.
+generator's degree in the basis.  An element x is inverted by solving
+x * y = 1 on the basis: the same table gives the integer matrix of
+multiplication by x, which _gauss.integer_rref reduces in one pass.
 """
 
 from __future__ import annotations
@@ -279,6 +279,11 @@ class FieldElement:
             raise InvalidInput(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
 
+    def words(self) -> int:
+        """64-bit machine words of the longest integer in the numerator and
+        denominator: the size that the cost of a product grows with."""
+        return max(self.den.bit_length(), *map(int.bit_length, self.num)) // 64 + 1
+
     def terms(self) -> list[tuple[tuple[int, ...], int, int]]:
         """Nonzero terms as (exponent tuple, numerator, denominator) in
         lowest terms, highest exponents first."""
@@ -350,19 +355,38 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if not any(self.num):
+        """1 / self: the solution y of self * y = 1, one integer linear solve
+        on the power basis."""
+        a = self.num
+        if not any(a):
             raise DivisionByZero("inverse of zero")
-        tower = self.tower
-        gens = tower._gens
-        if not gens:
-            p = self.num[0]
-            return FieldElement(tower, (self.den if p > 0 else -self.den,), abs(p))
-        from .bipoly import UniPoly  # deferred: bipoly depends on this module
+        if not any(a[1:]):
+            p = a[0]
+            return FieldElement(self.tower, (self.den if p > 0 else -self.den,) + a[1:], abs(p))
+        from ._gauss import integer_rref  # deferred: _gauss depends on this module
 
-        sub = tower.subtower(len(gens) - 1)
-        a = UniPoly(sub, "t", self.top_dense(sub))
-        inv = a.inverse_mod(UniPoly(sub, "t", gens[-1].minpoly))
-        return self._from_top_dense(tower, inv.coeffs)
+        d = len(a)
+        slots, size, over, scale = self.tower._mul_table()
+        # row k: coefficient k of den * scale * self * (basis element j), over j;
+        # then the right-hand side den * scale * (1 at k = 0)
+        rows = [[0] * (d + 1) for _ in range(d)]
+        for j, places in enumerate(slots):
+            # slots is symmetric: places[i] is where basis elements i and j meet
+            acc = [0] * size
+            for x, i in zip(a, places):
+                acc[i] += x
+            for k in range(d):
+                rows[k][j] = scale * acc[k]
+            for i, rewrite in over:
+                c = acc[i]
+                if c:
+                    for k, r in rewrite:
+                        rows[k][j] += c * r
+        rows[0][d] = scale * self.den
+        if integer_rref(rows) != list(range(d)):
+            raise InvalidExtension(f"a minimal polynomial of {self.tower!r} is reducible")
+        den = lcm(*(row[k] for k, row in enumerate(rows)))
+        return _normal(self.tower, [row[d] * (den // row[k]) for k, row in enumerate(rows)], den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -536,7 +560,8 @@ def extend_field(
     """Adjoin a root of a monic irreducible polynomial of degree >= 2.
 
     Returns the extended tower, an embedding for old elements, and the new
-    root.  Irreducibility is re-verified here, whatever the caller claims.
+    root.  This is the checked, public path: irreducibility is re-verified
+    here by factoring, whatever the caller claims.
     """
     coeffs = _coerce_minpoly(tower, minpoly)
     if len(coeffs) < 3:
@@ -550,7 +575,15 @@ def extend_field(
     factors = factorize.factor_univariate(poly)
     if len(factors) != 1 or factors[0][1] != 1 or factors[0][0].degree() != len(coeffs) - 1:
         raise InvalidExtension(f"{poly} is reducible over {tower!r}")
+    return _adjoin(tower, coeffs, name)
 
+
+def _adjoin(
+    tower: FieldTower, coeffs: tuple[FieldElement, ...], name: str | None = None
+) -> tuple[FieldTower, Callable[[FieldElement], FieldElement], FieldElement]:
+    """extend_field without its checks, for a monic polynomial of degree >= 2
+    over ``tower`` (coefficients low degree first) that the caller has
+    just proved irreducible, such as a factor from factorize.factor_univariate."""
     if name is None:
         name = tower.fresh_name()
     else:

@@ -16,9 +16,13 @@ from .bipoly import BiPoly, UniPoly
 _OPS = set("+-*^()/")
 MAX_NESTING = 100  # keeps the recursive descent inside Python's recursion limit
 MAX_EXPONENT = 10_000  # u^MAX_EXPONENT + v still ends at the blowup depth guard
-# coefficient products per expression: (u+v)^1000 takes about 416k,
-# (u+v)^3000 about 3.6M
+# coefficient products per expression, weighted by the size of their
+# integers: (u+v)^400 takes about 70k, (u+v)^1000 about 700k
 MAX_PRODUCTS = 1_000_000
+# a product of coefficients of a and b machine words counts 1 + a*b/64, so
+# (123456789*u+v)^1000, whose coefficients reach hundreds of words, stops
+# within a second instead of running for 15 s inside the budget
+_WORD_PAIRS_PER_UNIT = 64
 
 
 def _tokenize(text: str):
@@ -63,7 +67,8 @@ class _Parser:
     """Recursive descent over the token list, building through an atom factory.
 
     Every product goes through _mul, which charges len(a) * len(b)
-    coefficient products, in the atoms' sizes, against MAX_PRODUCTS."""
+    coefficient products, in the atoms' sizes, each weighted by the machine
+    words of the operands' largest coefficients, against MAX_PRODUCTS."""
 
     def __init__(self, text: str, atoms):
         self.text = text
@@ -73,10 +78,13 @@ class _Parser:
         self.products = 0
 
     def _mul(self, a, b):
-        self.products += self.atoms.size(a) * self.atoms.size(b)
+        (na, wa), (nb, wb) = self.atoms.size(a), self.atoms.size(b)
+        pairs = _WORD_PAIRS_PER_UNIT
+        self.products += na * nb * (pairs + wa * wb) // pairs
         if self.products > MAX_PRODUCTS:
             raise SizeLimitExceeded(
                 f"expression needs more than {MAX_PRODUCTS} coefficient products"
+                " (weighted by the size of their integers)"
             )
         return a * b
 
@@ -199,8 +207,10 @@ class _BiAtoms:
         return BiPoly.constant(self.tower, q)
 
     @staticmethod
-    def size(p: BiPoly) -> int:
-        return len(p.terms())
+    def size(p: BiPoly) -> tuple[int, int]:
+        """(terms, machine words of the largest coefficient)."""
+        coeffs = p.terms().values()
+        return len(coeffs), max((c.words() for c in coeffs), default=1)
 
     def from_name(self, name, pos):
         if name in ("u", "v"):
@@ -223,8 +233,8 @@ class _UniAtoms:
         return UniPoly.constant(self.tower, self.var, q)
 
     @staticmethod
-    def size(p: UniPoly) -> int:
-        return len(p.coeffs)
+    def size(p: UniPoly) -> tuple[int, int]:
+        return len(p.coeffs), max((c.words() for c in p.coeffs), default=1)
 
     def from_name(self, name, pos):
         if name == self.var:
@@ -246,8 +256,8 @@ class _ElemAtoms:
         return self.tower.rational(q)
 
     @staticmethod
-    def size(x: FieldElement) -> int:
-        return 1
+    def size(x: FieldElement) -> tuple[int, int]:
+        return 1, x.words()
 
     def from_name(self, name, pos):
         if name in self.tower.names():

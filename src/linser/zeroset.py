@@ -13,7 +13,6 @@ the points.
 
 from __future__ import annotations
 
-from . import numfield
 from .bipoly import (
     UniPoly,
     common_tower,
@@ -23,7 +22,7 @@ from .bipoly import (
 )
 from .errors import InvalidInput, LinserError, NonConstantGcd
 from .factorize import adjoin_roots, factor_univariate
-from .numfield import FieldElement, FieldTower
+from .numfield import FieldElement, FieldTower, _adjoin
 
 
 class ZeroPoint:
@@ -164,8 +163,9 @@ def _solve_full(polys, t: FieldTower):
         if q.degree() == 1:
             xs = [(-q.coeffs[0]).embed(chain)]
         else:
-            # the roots of q are conjugate over t: one decides for all
-            _, _, alpha = numfield.extend_field(t, q)
+            # the roots of q are conjugate over t: one decides for all.  q is
+            # a monic irreducible factor, so it is adjoined without a check.
+            _, _, alpha = _adjoin(t, q.coeffs)
             if _fiber_gcd(polys, alpha).degree() <= 0:
                 continue
             xs, chain = adjoin_roots(q, chain)

@@ -1,4 +1,9 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+provides the extend_field_calls fixture."""
+
+import pytest
+
+from linser import factorize, numfield
 
 CRITERIA = {
     "test_criterion_1_basepoint_tree_and_chart_transforms":
@@ -47,3 +52,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if name in _outcomes:
             status = "PASS" if _outcomes[name] else "FAIL"
             terminalreporter.write_line(f"{status}  {label}")
+
+
+@pytest.fixture
+def extend_field_calls(monkeypatch):
+    """The arguments of each call of the public numfield.extend_field, under
+    every name the library looks it up by."""
+    calls = []
+    real = numfield.extend_field
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (numfield, factorize):
+        monkeypatch.setattr(module, "extend_field", spied)
+    return calls

@@ -16,7 +16,7 @@ from linser.bipoly import (
     resultant,
     uni_gcd_list,
 )
-from linser.errors import DivisionByZero, InvalidExtension, InvalidInput, NotDivisible
+from linser.errors import InvalidInput, NotDivisible
 from linser.numfield import QQ, extend_field
 from linser.parsing import parse_bipoly, parse_unipoly
 
@@ -81,18 +81,6 @@ def test_unipoly_compose():
     p = parse_unipoly("t^2 + 1", QQ, "t")
     q = parse_unipoly("t - 2", QQ, "t")
     assert str(p.compose(q)) == "t^2 - 4*t + 5"
-
-
-def test_inverse_mod():
-    m = parse_unipoly("t^3 - 2", QQ, "t")
-    a = parse_unipoly("t^2 + t + 1", QQ, "t")
-    inv = a.inverse_mod(m)
-    assert inv.degree() < 3
-    assert (a * inv) % m == UniPoly.one(QQ, "t")
-    with pytest.raises(DivisionByZero):
-        UniPoly.zero(QQ, "t").inverse_mod(m)
-    with pytest.raises(InvalidExtension):
-        parse_unipoly("t + 1", QQ, "t").inverse_mod(parse_unipoly("t^2 - 1", QQ, "t"))
 
 
 def test_bipoly_rendering():

@@ -267,10 +267,14 @@ def test_exit_4_on_exponent_past_the_bound():
 
 
 def test_exit_4_on_expansion_past_the_product_budget():
-    # (u+v)^3000 needs about 3.6M coefficient products, (u+v+1)^250 about 73M
-    for text in ("(u+v)^3000", "(u+v+1)^250"):
+    # (u+v)^3000 needs about 3.6M coefficient products, (u+v+1)^250 about 73M;
+    # (123456789*u+v)^1000 as many as (u+v)^1000, which parses, but on
+    # integers of hundreds of machine words (15 s unweighted); (3^10000)^10000
+    # needs a few dozen, of single integers growing to millions of words
+    for text, seconds in (("(u+v)^3000", 20), ("(u+v+1)^250", 20),
+                          ("(123456789*u+v)^1000", 10), ("(3^10000)^10000 + v", 10)):
         doc = {"series": ["v", text]}
-        out = run("basepoints", "-", stdin=json.dumps(doc).encode(), timeout=20)
+        out = run("basepoints", "-", stdin=json.dumps(doc).encode(), timeout=seconds)
         assert out.returncode == 4, text
         assert out.stdout == b""
         assert b"coefficient products" in out.stderr and b"Traceback" not in out.stderr

@@ -174,6 +174,23 @@ def test_adjoin_roots_builds_the_splitting_tower(text, minpolys, roots, degree):
         assert g.eval(r).is_zero()
 
 
+def test_adjoin_roots_factors_each_polynomial_once(monkeypatch, extend_field_calls):
+    # every factor adjoined is irreducible as factor_univariate returned
+    # it, so nothing is factored again to prove it
+    factored = []
+    real = factorize.factor_univariate
+
+    def spied(f, tower=None):
+        factored.append((f.tower, f.coeffs))
+        return real(f, tower)
+
+    monkeypatch.setattr(factorize, "factor_univariate", spied)
+    roots, tower = adjoin_roots(up("t^4 + t + 1"))
+    assert tower.degree() == 24 and len(roots) == 4
+    assert extend_field_calls == []
+    assert factored and len(set(factored)) == len(factored)
+
+
 # x^8 - 40x^6 + 352x^4 - 960x^2 + 576, the minimal polynomial of
 # sqrt(2) + sqrt(3) + sqrt(5); it splits into quadratics or linear factors
 # modulo every prime

@@ -13,7 +13,7 @@ from linser.errors import (
     FieldMismatch,
     InvalidExtension,
 )
-from linser.numfield import QQ, conjugation, extend_field
+from linser.numfield import QQ, _adjoin, conjugation, extend_field
 
 
 def gaussian():
@@ -89,8 +89,7 @@ def test_nested_tower():
     # inversion still exact two levels up
     z = ii + s
     assert z * z.inverse() == tower2.one()
-    # under a cubic top generator, r^3 = i*r + 1, the Euclid on its minimal
-    # polynomial runs several steps with coefficients in Q(i)
+    # under a cubic top generator, r^3 = i*r + 1, over Q(i)
     tower3, emb3, r = extend_field(tower, [-1, -i, 0, 1], "r")
     assert tower3.degree() == 6
     rng = random.Random(3)
@@ -106,6 +105,61 @@ def test_nested_tower():
         assert z * inv == tower3.one()
         assert inv.inverse() == z
         checked += 1
+
+
+def _inversion_towers():
+    """Towers of widths 1 to 3 and degrees 2 to 8, by name."""
+    gauss, _, i = gaussian()
+    quartic, _, a = extend_field(QQ, [1, 1, 0, 0, 1], "a")
+    two, _, _ = extend_field(gauss, [-2, 0, 1], "s")
+    return {
+        "Q(i)": gauss,
+        "Q(i)(r), r^3 = i*r + 1": extend_field(gauss, [-1, -i, 0, 1], "r")[0],
+        "Q(a), a^4 + a + 1 = 0": quartic,
+        "Q(a)(b), b^2 = -a": extend_field(quartic, [a, 0, 1], "b")[0],
+        "Q(i, sqrt 2, sqrt 3)": extend_field(two, [-3, 0, 1], "w")[0],
+        "Q(d), d^7 = -1/3": extend_field(QQ, [Fraction(1, 3), 0, 0, 0, 0, 0, 0, 1], "d")[0],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_inversion_towers()))
+def test_inverse_is_the_solution_of_x_times_y_equals_one(name):
+    tower = _inversion_towers()[name]
+    basis = []
+    for exps in tower.exponents():
+        m = tower.one()
+        for j, k in enumerate(exps):
+            m = m * tower.gen(j) ** k
+        basis.append(m)
+    rng = random.Random(name)
+    checked = 0
+    while checked < 50:
+        # sparse and dense elements, rational ones among them, with
+        # numerators and denominators of up to 30 digits
+        x = tower.zero()
+        for m in basis:
+            if rng.random() < 0.6:
+                x = x + m * Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+        if x.is_zero():
+            continue
+        y = x.inverse()
+        assert x * y == tower.one()
+        assert y.inverse() == x
+        assert y.den > 0
+        assert gcd(y.den, *y.num) == 1
+        assert len(y.num) == tower.degree()
+        checked += 1
+    with pytest.raises(DivisionByZero):
+        tower.zero().inverse()
+
+
+def test_inverse_over_a_reducible_minimal_polynomial_raises():
+    # t^2 - 1 = (t - 1)(t + 1): t + 1 is a zero divisor, so the linear
+    # system for its inverse has no pivot in some column
+    tower, _, t = _adjoin(QQ, (QQ.rational(-1), QQ.zero(), QQ.one()))
+    with pytest.raises(InvalidExtension):
+        (t + 1).inverse()
+    assert (t * 2).inverse() == t * Fraction(1, 2)
 
 
 def test_embed_and_subtower():

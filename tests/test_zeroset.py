@@ -125,6 +125,14 @@ def test_one_resultant_when_every_pair_shares_a_line(monkeypatch):
     assert len(calls) == 1
 
 
+def test_adjoined_factors_are_not_factored_again(extend_field_calls):
+    # the factor u^3 - 2 of the candidate is tried at one root and then
+    # split, both without the check of the public extend_field
+    points, chain = zero_set([bp("u^3 - 2"), bp("v - u")])
+    assert len(points) == 3 and chain.degree() == 6
+    assert extend_field_calls == []
+
+
 def test_candidate_factor_without_points_is_skipped():
     # u^3 - 3 divides the candidate, but v and v + u^2 - 2 have no common
     # zero over it, so only Q(sqrt 2) is adjoined
