@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from . import factorize, parsing
 from .bipoly import (
-    BiPoly,
     exact_div_power,
     gcd_tuple,
     pullback_blowup,
@@ -145,25 +144,32 @@ class BasepointTree:
         return f"<BasepointTree of {self.node_count()} nodes over {self.tower!r}>"
 
 
-def _pure_power_degree(g: BiPoly, var: str) -> int:
-    """Degree of a gcd that must be a power of one variable."""
-    if g.is_constant():
-        return 0
-    (du, dv), *rest = g.terms()
-    other, deg = (du, dv) if var == "v" else (dv, du)
-    if rest or other:
-        raise NonConstantGcd(f"gcd {g} is not a pure power of {var}")
-    return deg
+def _expansion(polys, point):
+    """The expansion of polys about point, and its lowest total degree m.
+
+    With constant gcd, m is the multiplicity at the point, and each chart's
+    pullback has gcd the exceptional coordinate to the power m: so a strict
+    transform keeps a constant gcd."""
+    shifted = taylor_shift(polys, point)
+    return shifted, min((a + b for f in shifted for a, b in f.terms()), default=0)
+
+
+def _constant_gcd(F):
+    """The nonzero members of F; a common factor raises NonConstantGcd."""
+    polys, _ = prepare_system(F)
+    g = gcd_tuple(polys)
+    if not g.is_constant():
+        raise NonConstantGcd(f"system has the common factor {g}")
+    return polys
 
 
 def multiplicity(F, point) -> int:
     """Order of vanishing at a point of a generic member of the system.
 
     Zero when the point is not a basepoint.  A system with a common
-    factor raises NonConstantGcd: its pullback gcd is not a power of v.
+    factor raises NonConstantGcd.
     """
-    polys, t = prepare_system(F)
-    return _pure_power_degree(gcd_tuple(pullback_blowup(polys, point, "t")), "v")
+    return _expansion(_constant_gcd(F), point)[1]
 
 
 def strict_transform(F, sequence):
@@ -171,9 +177,10 @@ def strict_transform(F, sequence):
 
     Each step pulls the system back through its chart and divides out the
     full power of the exceptional coordinate.  A step whose point is not
-    a basepoint of the running system raises NotABasepoint.
+    a basepoint of the running system raises NotABasepoint, and a system
+    with a common factor raises NonConstantGcd.
     """
-    polys, t = prepare_system(F)
+    polys = _constant_gcd(F)
     for step in sequence:
         try:
             point, chart = step
@@ -182,14 +189,13 @@ def strict_transform(F, sequence):
         chart = str(chart).lower()
         if chart not in _CHARTS:
             raise InvalidInput(f"unknown chart {chart!r}; expected 't' or 's'")
-        pulled = pullback_blowup(polys, point, chart)
-        var = "v" if chart == "t" else "u"
-        m = _pure_power_degree(gcd_tuple(pulled), var)
+        shifted, m = _expansion(polys, point)
         if m == 0:
             raise NotABasepoint(
                 f"({point[0]}, {point[1]}) is not a basepoint of the transform"
             )
-        polys = exact_div_power(pulled, var, m)
+        pulled = pullback_blowup(shifted, (0, 0), chart)
+        polys = exact_div_power(pulled, "v" if chart == "t" else "u", m)
     return polys
 
 
@@ -225,12 +231,9 @@ def _build_node(point, transforms, sequence, chain, depth, max_depth):
         raise RecursionLimitExceeded(
             f"blowup recursion passed depth {max_depth}"
         )
-    # The root system passed zero_set's gcd check, and a strict transform
-    # of a system with constant gcd keeps a constant gcd; so after one
-    # expansion about the point both charts' pullbacks have gcd exactly
-    # the exceptional coordinate to the lowest total degree of the expansion.
-    shifted = taylor_shift(transforms, point)
-    m = min((a + b for f in shifted for a, b in f.terms()), default=0)
+    # zero_set refused a root system with a common factor, so every
+    # transform here has constant gcd (see _expansion).
+    shifted, m = _expansion(transforms, point)
     if m < 1:
         raise LinserError("zero multiplicity for a verified common zero")
     zero = chain.zero()

@@ -159,9 +159,7 @@ def _cmd_invariants(args):
     else:
         spec = TotalDegree(max(f.degree() for f in polys))
     F = LinearSeries(polys, tower)
-    for g in F.generators:
-        if not linseries.fits_degree(g, spec):
-            raise InvalidInput(f"generator {g} does not fit the degree bound {spec!r}")
+    linseries._check_fits(F, spec)
     tree = baselocus.get_basepoints(F.generators, tower=F.tower, max_depth=args.max_depth)
     h, k, ctx = nslattice.class_of_series(tree, spec)
     h0 = nslattice.h0_of_class(h, tree)

@@ -1,19 +1,20 @@
 """Univariate factorization over the rationals and over field towers.
 
 The rational case reduces to factoring a monic squarefree integer
-polynomial: reduce mod a good prime, split with Berlekamp's algorithm,
-lift the factors with quadratic Hensel steps past the Mignotte bound,
-then recombine subsets by trial division, after a test on their constant
-terms.  Over a tower K = L(a), Trager's norm is taken relative to the top
-generator: a shifted norm, squarefree over the subtower L, is factored
-over L by the same method one level down, and each of its factors pulls
-back to a factor over K by a gcd.
+polynomial: split it mod a good prime by factor degree, then within each
+degree (Cantor–Zassenhaus), lift with quadratic Hensel steps past the
+Mignotte bound, then recombine subsets by trial division, after a test on
+their constant terms.  Over a tower K = L(a), Trager's norm is taken
+relative to the top generator: a shifted norm, squarefree over the
+subtower L, is factored over L by the same method one level down, and
+each of its factors pulls back to a factor over K by a gcd.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 from .bipoly import BiPoly, UniPoly, resultant
 from .errors import InvalidInput
@@ -81,24 +82,18 @@ def _z_divmod(a, b, m=None):
 # -- dense polynomials over a prime field --------------------------------------
 
 
-def _gf_monic(a, p):
-    a = _z_mod(a, p)
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
 def _gf_gcd(a, b, p):
+    """Monic gcd over F_p."""
     a = _z_mod(a, p)
     b = _z_mod(b, p)
     while b:
         a, b = b, _z_divmod(a, b, p)[1]
-    return _gf_monic(a, p)
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
 
 
 def _gf_ext_gcd(a, b, p):
-    """(g, s, t) with s*a + t*b == g, g monic."""
+    """(g, s, t) with s*a + t*b == g, g monic; a and b not both zero."""
     r0, s0, t0 = _z_mod(a, p), [1], []
     r1, s1, t1 = _z_mod(b, p), [], [1]
     while r1:
@@ -106,11 +101,10 @@ def _gf_ext_gcd(a, b, p):
         r0, r1 = r1, r
         s0, s1 = s1, _z_mod(_z_add(s0, _z_mul(q, s1), -1), p)
         t0, t1 = t1, _z_mod(_z_add(t0, _z_mul(q, t1), -1), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
+    inv = pow(r0[-1], p - 2, p)
+    r0 = [c * inv % p for c in r0]
+    s0 = [c * inv % p for c in s0]
+    t0 = [c * inv % p for c in t0]
     return r0, s0, t0
 
 
@@ -123,39 +117,6 @@ def _gf_pow_mod(base, e, mod, p):
         base = _z_divmod(_z_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
-
-
-def _gf_kernel(rows, n, p):
-    """Basis of the right kernel of an n-column matrix over F_p."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == len(mat):
-            break
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    pivset = set(pivots)
-    basis = []
-    for j in range(n):
-        if j in pivset:
-            continue
-        v = [0] * n
-        v[j] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-mat[i][j]) % p
-        basis.append(v)
-    return basis
 
 
 # -- primes ---------------------------------------------------------------------
@@ -171,70 +132,76 @@ def _is_prime(n):
 
 
 def _choose_prime(g):
-    """Smallest prime at least 5 where g stays squarefree after reduction."""
-    deriv = _z_trim([k * c for k, c in enumerate(g)][1:])
+    """Smallest prime at least 5 where the monic g stays squarefree."""
+    deriv = [k * c for k, c in enumerate(g)][1:]
     p = 5
     while True:
-        if _is_prime(p):
-            gp = _z_mod(g, p)
-            dp = _z_mod(deriv, p)
-            if len(gp) == len(g) and dp and len(_gf_gcd(gp, dp, p)) == 1:
-                return p
+        # a derivative vanishing mod p leaves the gcd g itself
+        if _is_prime(p) and len(_gf_gcd(g, deriv, p)) == 1:
+            return p
         p += 1
 
 
-# -- Berlekamp over F_p ----------------------------------------------------------
+# -- Cantor–Zassenhaus over F_p -------------------------------------------------
 
 
-def _berlekamp(g, p):
-    """Monic irreducible factors of a monic squarefree g over F_p."""
+def _gf_factor_squarefree(g, p):
+    """Monic irreducible factors of a monic squarefree g over F_p, p odd.
+
+    The factors of degree d are those of gcd(g, x^(p^d) - x) left after the
+    lower degrees are divided out.  Each such product is split by gcds with
+    a^((p^d - 1)/2) - 1 for random a (Cantor and Zassenhaus, 1981).
+    """
     n = len(g) - 1
-    if n <= 1:
-        return [g]
     xp = _gf_pow_mod([0, 1], p, g, p)
-    rows = []
-    cur = [1]
-    for _ in range(n):
-        rows.append(cur + [0] * (n - len(cur)))
-        cur = _z_divmod(_z_mul(cur, xp, p), g, p)[1]
-    mt = [
-        [(rows[i][j] - (1 if i == j else 0)) % p for i in range(n)]
-        for j in range(n)
-    ]
-    basis = sorted(_gf_kernel(mt, n, p))
-    r = len(basis)
-    factors = [g]
-    if r == 1:
-        return factors
-    for v in basis:
-        if len(factors) == r:
-            break
-        if not any(v[1:]):
-            continue
-        new = []
-        for f in factors:
-            if len(f) - 1 == 1:
-                new.append(f)
-                continue
-            rem = f
-            pieces = []
-            for s in range(p):
-                if len(rem) - 1 <= 0:
-                    break
-                vs = list(v)
-                vs[0] = (vs[0] - s) % p
-                w = _gf_gcd(rem, _z_mod(vs, p), p)
-                dw = len(w) - 1
-                if dw == len(rem) - 1:
-                    break
-                if dw > 0:
-                    pieces.append(w)
-                    rem = _z_divmod(rem, w, p)[0]
-            if len(rem) - 1 > 0:
-                pieces.append(_gf_monic(rem, p))
-            new.extend(pieces if pieces else [f])
-        factors = sorted(new, key=lambda f: (len(f), tuple(f)))
+    table = [[1]]
+    for _ in range(n - 1):
+        table.append(_z_divmod(_z_mul(table[-1], xp, p), g, p)[1])
+    rng = random.Random(0)
+    factors = []
+    rest = g
+    h = [0, 1]
+    d = 0
+    # a rest with no factor of degree <= d and degree below 2(d+1) is irreducible
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _gf_frobenius(h, table, rest, p)
+        f = _gf_gcd(rest, _z_add(h, [0, 1], -1), p)
+        if len(f) > 1:
+            factors += _gf_equal_degree_split(f, d, table, p, rng)
+            rest = _z_divmod(rest, f, p)[0]
+    if len(rest) > 1:
+        factors.append(rest)
     return factors
+
+
+def _gf_frobenius(h, table, mod, p):
+    """h^p mod a divisor of g: sum h_i x^(ip), from table[i] = x^(ip) mod g."""
+    out = [0] * len(table)
+    for c, row in zip(h, table):
+        if c:
+            for j, x in enumerate(row):
+                out[j] += c * x
+    return _z_divmod(out, mod, p)[1]
+
+
+def _gf_equal_degree_split(f, d, table, p, rng):
+    """The degree-d factors of f, a product of such; table as in _gf_frobenius.
+
+    a^((p^d - 1)/2) is s^((p-1)/2) for s = a * a^p * ... * a^(p^(d-1))."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        # a constant a gives +-1, so no split, and another draw
+        s = b = _z_trim([rng.randrange(p) for _ in range(n)])
+        for _ in range(d - 1):
+            b = _gf_frobenius(b, table, f, p)
+            s = _z_divmod(_z_mul(s, b, p), f, p)[1]
+        w = _gf_gcd(f, _z_add(_gf_pow_mod(s, (p - 1) // 2, f, p), [1], -1), p)
+        if 1 < len(w) < len(f):
+            return (_gf_equal_degree_split(w, d, table, p, rng)
+                    + _gf_equal_degree_split(_z_divmod(f, w, p)[0], d, table, p, rng))
 
 
 # -- Hensel lifting ----------------------------------------------------------------
@@ -282,7 +249,7 @@ def _factor_int_monic_squarefree(g):
     if n <= 1:
         return [g]
     p = _choose_prime(g)
-    modfacs = _berlekamp(_z_mod(g, p), p)
+    modfacs = _gf_factor_squarefree(_z_mod(g, p), p)
     modfacs.sort(key=lambda f: (len(f), tuple(f)))
     if len(modfacs) == 1:
         return [g]

@@ -239,17 +239,20 @@ def fits_degree(poly: BiPoly, spec) -> bool:
     return poly.degree("u") <= spec.deg_u and poly.degree("v") <= spec.deg_v
 
 
+def _check_fits(F: LinearSeries, spec) -> None:
+    """Raise InvalidInput unless every generator of F fits the degree bound."""
+    for g in F.generators:
+        if not fits_degree(g, spec):
+            raise InvalidInput(f"generator {g} does not fit the degree bound {spec!r}")
+
+
 def complete_series(F: LinearSeries, spec) -> LinearSeries:
     """All members within the degree bound sharing F's basepoint tree."""
     if not isinstance(F, LinearSeries) or not F.generators:
         raise InvalidInput("expected a nonempty linear series")
     if not isinstance(spec, (TotalDegree, Bidegree)):
         raise InvalidInput(f"unknown degree specification {spec!r}")
-    for g in F.generators:
-        if not fits_degree(g, spec):
-            raise InvalidInput(
-                f"generator {g} does not fit the degree bound {spec!r}"
-            )
+    _check_fits(F, spec)
     tree = get_basepoints(F.generators, tower=F.tower)
     return series_through(tree, monomial_basis(spec))
 
@@ -294,11 +297,7 @@ def adjoint_series(F: LinearSeries, spec) -> LinearSeries:
         raise InvalidInput("expected a nonempty linear series")
     if not isinstance(spec, TotalDegree):
         raise InvalidInput("the adjoint construction needs a total-degree bound")
-    for g in F.generators:
-        if not fits_degree(g, spec):
-            raise InvalidInput(
-                f"generator {g} does not fit the degree bound {spec!r}"
-            )
+    _check_fits(F, spec)
     if spec.degree < 3:
         raise NoAdjoint(f"degree {spec.degree} leaves no room for an adjoint")
     tree = get_basepoints(F.generators, tower=F.tower)

@@ -5,10 +5,11 @@ free of v, or else one resultant of the first member against a
 combination of the others.  Each irreducible factor of the candidate is
 tried at one root, whose conjugates behave alike; the roots of a factor
 that carries points are adjoined, each fiber is solved by univariate
-gcd, and every candidate point is verified by substitution.  All field
-extensions are threaded through one growing tower, so every coordinate
-that the caller receives embeds into the final tower returned alongside
-the points.
+gcd, and every candidate point is verified by substitution.  A common
+factor makes every resultant vanish, or a whole fiber, and is refused.
+All field extensions are threaded through one growing tower, so every
+coordinate that the caller receives embeds into the final tower returned
+alongside the points.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .bipoly import (
     resultant,
     uni_gcd_list,
 )
-from .errors import InvalidInput, LinserError, NonConstantGcd
+from .errors import InvalidInput, NonConstantGcd
 from .factorize import adjoin_roots, factor_univariate
 from .numfield import FieldElement, FieldTower, _adjoin
 
@@ -83,12 +84,10 @@ def zero_set(F, tower: FieldTower | None = None):
     """All common zeros of F, with the tower every coordinate lives in.
 
     Returns (points, final tower).  The points are sorted by the degree of
-    the smallest tower that carries them, then by coordinates.
+    the smallest tower that carries them, then by coordinates.  A system
+    with a common factor raises NonConstantGcd.
     """
     nonzero, t = prepare_system(F, tower)
-    g = gcd_tuple(nonzero)
-    if not g.is_constant():
-        raise NonConstantGcd(f"system has the common factor {g}")
     raw, chain = _solve_full(nonzero, t)
     records = [_as_record(xu.embed(chain), xv.embed(chain), t.width, chain)
                for xu, xv in raw]
@@ -102,20 +101,24 @@ def zero_set(F, tower: FieldTower | None = None):
     return records, chain
 
 
+def _common_factor(polys) -> NonConstantGcd:
+    return NonConstantGcd(f"system has the common factor {gcd_tuple(polys)}")
+
+
 def _candidate(polys) -> UniPoly:
     """A polynomial in u vanishing at the u-coordinate of every common zero.
 
     The gcd of the members free of v, else Res_v(f1, f2 + k*f3 + k^2*f4 + ...)
     for the first k = 1, 2, ... that makes it nonzero.  With constant gcd,
     each of the at most deg_v(f1) factors of f1 involving v kills at most
-    len(polys) - 2 values of k.
+    len(polys) - 2 values of k, so a system for which every k fails (a
+    single member has none) has a common factor.  A common factor in u
+    alone divides the candidate.
     """
     u_only = [f.as_unipoly("u") for f in polys if f.degree("v") == 0]
     if u_only:
         return uni_gcd_list(u_only)
     f1, *rest = polys
-    if not rest:
-        raise NonConstantGcd("system does not cut out a finite set")
     for k in range(1, f1.degree("v") * (len(rest) - 1) + 2):
         g = rest[0]
         for i, f in enumerate(rest[1:], 1):
@@ -123,15 +126,18 @@ def _candidate(polys) -> UniPoly:
         r = resultant(f1, g, "v")
         if not r.is_zero():
             return r.monic()
-    raise LinserError("every combination of the system shares a factor with its first member")
+    raise _common_factor(polys)
 
 
 def _fiber_gcd(polys, x: FieldElement) -> UniPoly:
-    """Monic gcd in v of the system restricted to the vertical line u = x."""
+    """Monic gcd in v of the system restricted to the vertical line u = x.
+
+    A system vanishing on the whole line has x's minimal polynomial as a
+    common factor."""
     fiber = [f.substitute("u", x) for f in polys]
     nz = sorted((p for p in fiber if not p.is_zero()), key=lambda p: p.degree())
     if not nz:
-        raise NonConstantGcd("a vertical line lies in the zero set")
+        raise _common_factor(polys)
     return uni_gcd_list(nz)
 
 
@@ -152,28 +158,25 @@ def _fiber_roots(gv: UniPoly, known, chain: FieldTower):
 
 
 def _solve_full(polys, t: FieldTower):
-    """Solve polys, nonzero with constant gcd over t; returns (points, tower)."""
-    cand = _candidate(polys)
-    if cand.degree() <= 0:
-        return [], t
+    """Solve polys, nonzero over t; returns (points, tower)."""
+    # The roots of a factor are conjugate over t: one decides for all, and
+    # every factor is decided before any root is adjoined.  A nonlinear
+    # factor is monic and irreducible, so it is adjoined without a check.
+    carrying = []
+    for q, _ in factor_univariate(_candidate(polys)):
+        x = -q.coeffs[0] if q.degree() == 1 else _adjoin(t, q.coeffs)[2]
+        gv = _fiber_gcd(polys, x)
+        if gv.degree() > 0:
+            carrying.append((q, [(x, gv)] if q.degree() == 1 else None))
 
     chain = t
     found = []
-    for q, _ in factor_univariate(cand):
-        if q.degree() == 1:
-            xs = [(-q.coeffs[0]).embed(chain)]
-        else:
-            # the roots of q are conjugate over t: one decides for all.  q is
-            # a monic irreducible factor, so it is adjoined without a check.
-            _, _, alpha = _adjoin(t, q.coeffs)
-            if _fiber_gcd(polys, alpha).degree() <= 0:
-                continue
+    for q, fibers in carrying:
+        if fibers is None:
             xs, chain = adjoin_roots(q, chain)
-        for x in xs:
-            gv = _fiber_gcd(polys, x.embed(chain))
-            if gv.degree() <= 0:
-                continue
-            ys, chain = _fiber_roots(gv, [y for _, y in found], chain)
+            fibers = [(x, _fiber_gcd(polys, x)) for x in xs]
+        for x, gv in fibers:
+            ys, chain = _fiber_roots(gv.embed(chain), [y for _, y in found], chain)
             x = x.embed(chain)
             for y in ys:
                 if all(not f.eval((x, y)) for f in polys):

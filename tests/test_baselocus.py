@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from linser import baselocus
 from linser.baselocus import (
     BasepointTree,
     get_basepoints,
@@ -106,6 +107,24 @@ def test_strict_transform_two_steps():
     assert all(not f.is_zero() for f in out)
 
 
+def test_strict_transform_checks_the_gcd_once(monkeypatch):
+    # a strict transform of a system with constant gcd keeps a constant
+    # gcd, so only the input system is checked, not each step's pullback
+    F = series(("v - u^6", "v^2"))
+    node = next(n for n in get_basepoints(F).nodes() if len(n.sequence) == 3)
+    calls = []
+    real = baselocus.gcd_tuple
+
+    def counted(polys):
+        calls.append(polys)
+        return real(polys)
+
+    monkeypatch.setattr(baselocus, "gcd_tuple", counted)
+    out = strict_transform(F, node.sequence)
+    assert len(calls) == 1
+    assert multiplicity(out, node.point) == node.mult
+
+
 def test_single_node_tree():
     tree = get_basepoints(series(("u^2", "u*v", "u", "v^2", "v")))
     assert tree.node_count() == 1
@@ -139,8 +158,9 @@ def test_multiplicity_values():
 
 
 def test_multiplicity_rejects_common_factor():
-    # Both systems share the factor u.  Read off the pullback gcd's total
-    # degree, they gave 3 and 2 where a generic member has order 2 and 1.
+    # Both systems share the factor u.  Read off the expansion's lowest
+    # total degree, they would give 2 and 1, the order of a generic member
+    # of the cofactor system, not of the system itself.
     origin = (QQ.zero(), QQ.zero())
     with pytest.raises(NonConstantGcd):
         multiplicity(series(("u^2 - u*v", "u*v")), origin)
@@ -182,8 +202,8 @@ def test_multiplicity_matches_derivative_order():
 
 
 def test_node_multiplicity_matches_gcd_path():
-    # get_basepoints reads each node's multiplicity off one expansion about
-    # the point; multiplicity() still takes it from a gcd of the pullback.
+    # each node's multiplicity, found during detection, is the multiplicity
+    # at its point of the strict transform along the node's sequence
     tower, _ = gaussian_pair()
     systems = [
         series(("v - u^6", "v^2")),

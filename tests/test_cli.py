@@ -215,6 +215,25 @@ def test_exit_3_on_common_factor():
     assert out.stdout == b""
 
 
+@pytest.mark.parametrize(
+    "series, factor",
+    [
+        (["u*v"], "u*v"),
+        (["u^2-1", "(u-1)*v"], "u - 1"),
+        (["(u-1)*v", "(u-1)*(v+2)"], "u - 1"),
+        (["(u-v)*(u+1)", "(u-v)*(v+3)"], "u - v"),
+        (["(u-v)*(u+1)", "(u-v)*(v+3)", "(u-v)*(u*v-2)"], "u - v"),
+        (["(u^3-2)*(v-1)", "(u^3-2)*(v+u)"], "u^3 - 2"),
+    ],
+    ids=["one-member", "in-u-with-v-free", "in-u", "in-v-two", "in-v-three", "needs-extension"],
+)
+def test_common_factor_message(series, factor):
+    out = run("basepoints", "-", stdin=json.dumps({"series": series}).encode())
+    assert out.returncode == 3
+    assert out.stdout == b""
+    assert out.stderr.decode() == f"error: system has the common factor {factor}\n"
+
+
 def test_exit_3_on_no_adjoint():
     out = run("adjoint", gpath("conic_input.json"), "--basis", "deg:2")
     assert out.returncode == 3
@@ -226,10 +245,15 @@ def test_exit_3_on_not_a_basepoint():
 
 
 def test_exit_3_on_common_factor_in_transform():
-    doc = {"series": ["u^2-u*v", "u*v"], "sequence": [[["0", "0"], "t"]]}
-    out = run("strict-transform", "-", stdin=json.dumps(doc).encode())
-    assert out.returncode == 3
-    assert out.stdout == b""
+    # in the second system the pullback's gcd is u, the exceptional
+    # coordinate alone; the common factor is refused all the same
+    for doc in (
+        {"series": ["u^2-u*v", "u*v"], "sequence": [[["0", "0"], "t"]]},
+        {"series": ["u*(v-1)", "u*(v+1)"], "sequence": [[["0", "1"], "s"]]},
+    ):
+        out = run("strict-transform", "-", stdin=json.dumps(doc).encode())
+        assert out.returncode == 3
+        assert out.stdout == b""
 
 
 def test_exit_4_on_depth_limit():

@@ -220,10 +220,86 @@ def test_integer_recombination(factors):
     # the Swinnerton-Dyer pair needs subsets of 4 of its 8 modular factors
     g = _z_prod(factors)
     p = factorize._choose_prime(g)
-    assert len(factorize._berlekamp(factorize._z_mod(g, p), p)) >= 8
+    assert len(factorize._gf_factor_squarefree(factorize._z_mod(g, p), p)) >= 8
     found = factorize._factor_int_monic_squarefree(g)
     assert found == factors
     assert _z_prod(found) == g
+
+
+PRIMES = [p for p in range(5, 212) if factorize._is_prime(p)]
+
+
+def _gf_irreducible(f, p):
+    """gcd(f, x^(p^k) - x) = 1 for 1 <= k <= deg f / 2, by plain powering."""
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = factorize._gf_pow_mod(h, p, f, p)
+        if len(factorize._gf_gcd(f, factorize._z_add(h, [0, 1], -1), p)) > 1:
+            return False
+    return True
+
+
+def _gf_random_irreducible(rng, d, p):
+    while True:
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        if _gf_irreducible(f, p):
+            return f
+
+
+def _gf_product(factors, p):
+    out = [1]
+    for f in factors:
+        out = factorize._z_mul(out, f, p)
+    return out
+
+
+def _modular_corpus():
+    """(g, p) with g monic and squarefree over F_p: random polynomials of
+    degree 1 to 60, products of distinct linear factors, and products of
+    several irreducibles of one degree or of a few."""
+    rng = random.Random(14)
+    corpus = []
+    for n in (1, 2, 3, 4, 6, 9, 13, 20, 30, 45, 60):
+        for _ in range(3):
+            p = rng.choice(PRIMES)
+            while True:
+                g = [rng.randrange(p) for _ in range(n)] + [1]
+                dg = factorize._z_mod([k * c for k, c in enumerate(g)][1:], p)
+                if dg and len(factorize._gf_gcd(g, dg, p)) == 1:
+                    break
+            corpus.append((g, p))
+    for p, n in ((5, 5), (7, 6), (31, 20), (211, 40)):
+        roots = rng.sample(range(p), n)
+        corpus.append((_gf_product([[-a % p, 1] for a in roots], p), p))
+    for shape, p in (
+        ((2,) * 6, 5), ((3,) * 5, 7), ((5,) * 4, 13), ((10,) * 3, 29),
+        ((12,) * 5, 5), ((20,) * 3, 101), ((30, 30), 211), ((1, 1, 2, 2, 3, 7, 7), 11),
+    ):
+        while True:
+            factors = [_gf_random_irreducible(rng, d, p) for d in shape]
+            if len({tuple(f) for f in factors}) == len(factors):
+                break
+        corpus.append((_gf_product(factors, p), p))
+    return corpus
+
+
+def test_modular_factors_are_irreducible_and_multiply_back():
+    for g, p in _modular_corpus():
+        factors = factorize._gf_factor_squarefree(g, p)
+        assert _gf_product(factors, p) == g
+        assert all(f[-1] == 1 for f in factors)
+        assert len({tuple(f) for f in factors}) == len(factors)
+        assert all(_gf_irreducible(f, p) for f in factors)
+
+
+def test_modular_factors_match_sympy():
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    for g, p in _modular_corpus():
+        _, theirs = galoistools.gf_factor_sqf([ZZ(c) for c in g[::-1]], p, ZZ)
+        ours = factorize._gf_factor_squarefree(g, p)
+        assert sorted(f[::-1] for f in ours) == sorted([int(c) for c in f] for f in theirs)
 
 
 def _random_monic(rng, tower, max_deg=4):

@@ -58,6 +58,25 @@ def test_common_factor_rejected():
         zero_set([bp("u*(v - 1)"), bp("u*(v + 1)")])
 
 
+def test_constant_gcd_is_not_checked_separately(monkeypatch):
+    # the elimination itself refuses a common factor, so the gcd of the
+    # whole system is computed only to name a factor it has found
+    calls = []
+    real = zeroset.gcd_tuple
+
+    def counted(polys):
+        calls.append(polys)
+        return real(polys)
+
+    monkeypatch.setattr(zeroset, "gcd_tuple", counted)
+    for texts in (("u^2 + v^2", "v^2 + u"), QUINTIC_TEXTS, ("u^3 - 2", "v^2 - u")):
+        zero_set([bp(s) for s in texts])
+    assert calls == []
+    with pytest.raises(NonConstantGcd):
+        zero_set([bp("u*(v - 1)"), bp("u*(v + 1)")])
+    assert len(calls) == 1
+
+
 def test_input_validation():
     with pytest.raises(InvalidInput):
         zero_set([])
