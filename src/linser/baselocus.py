@@ -3,14 +3,17 @@
 A basepoint of a system F is a common zero of all members; blowing it up
 and dividing the exceptional factor out of the pullbacks exposes any
 basepoints infinitely near it, which live on the exceptional line in one
-of the two charts.  The tree collects every such point with its
-multiplicity, all coordinates embedded in one final field tower.
+of the two charts.  Those points are read off the tangent cones, and a
+chart is pulled back only when it holds one.  The tree collects every
+such point with its multiplicity, all coordinates embedded in one final
+field tower.
 """
 
 from __future__ import annotations
 
 from . import factorize, parsing
 from .bipoly import (
+    UniPoly,
     exact_div_power,
     gcd_tuple,
     pullback_blowup,
@@ -226,6 +229,20 @@ def get_basepoints(F, tower: FieldTower | None = None,
     return BasepointTree(tuple(_embed_node(n, chain) for n in roots), chain)
 
 
+def _exceptional_line(shifted, m, tower):
+    """The gcd of chart t's strict transforms at v = 0, and whether chart s's
+    origin lies on every strict transform, from expansions of order m.
+
+    Chart t's strict transform of f at v = 0 is sum_{a+b=m} c_ab u^a, the
+    tangent cone at v = 1; at chart s's origin it is c_m0, the u^m term."""
+    cones = [
+        UniPoly(tower, "u", [f.coeff(a, m - a) for a in range(m + 1)])
+        for f in shifted
+    ]
+    line = uni_gcd_list(p for p in cones if not p.is_zero())
+    return line, all(p.degree() < m for p in cones)
+
+
 def _build_node(point, transforms, sequence, chain, depth, max_depth):
     if depth > max_depth:
         raise RecursionLimitExceeded(
@@ -238,22 +255,22 @@ def _build_node(point, transforms, sequence, chain, depth, max_depth):
         raise LinserError("zero multiplicity for a verified common zero")
     zero = chain.zero()
     origin = (zero, zero)
-    strict_t = exact_div_power(pullback_blowup(shifted, origin, "t"), "v", m)
-    strict_s = exact_div_power(pullback_blowup(shifted, origin, "s"), "u", m)
 
     # Chart t sees every direction on the exceptional line but one, so its
     # points are the roots of the transforms' gcd along v = 0; a point
     # v = c != 0 of chart s is u = 1/c of chart t, leaving chart s its origin.
+    # Both come from the tangent cones, and a chart is pulled back only when
+    # it has a child.
     floor = chain.width
-    line = uni_gcd_list(
-        p for p in (f.substitute("v", zero) for f in strict_t) if not p.is_zero()
-    )
-    roots = []
+    line, s_point = _exceptional_line(shifted, m, chain)
+    found = []
     if line.degree() > 0:
         roots, chain = factorize.adjoin_roots(line, chain)
-    roots.sort(key=lambda r: (max(r.trim().tower.width, floor), r.sort_key()))
-    found = [("t", strict_t, (r, chain.zero())) for r in roots]
-    if all(not f.eval(origin) for f in strict_s):
+        roots.sort(key=lambda r: (max(r.trim().tower.width, floor), r.sort_key()))
+        strict_t = exact_div_power(pullback_blowup(shifted, origin, "t"), "v", m)
+        found = [("t", strict_t, (r, chain.zero())) for r in roots]
+    if s_point:
+        strict_s = exact_div_power(pullback_blowup(shifted, origin, "s"), "u", m)
         found.append(("s", strict_s, origin))
 
     children = {"t": [], "s": []}

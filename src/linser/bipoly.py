@@ -783,11 +783,14 @@ def taylor_shift(polys, point, order: int | None = None):
     For each nonzero coordinate c, the table C(n, k)*c^(n-k) is built once
     and shared by the whole list.  With ``order``, terms of total degree
     ``order`` or more are dropped; the tables stop short of most of them.
+    Without it, a shift to the origin returns the inputs on the joined tower.
     """
     polys = list(polys)
     if not polys:
         raise InvalidInput("empty collection")
     t, center = _on_common_tower(reduce(common_tower, [f.tower for f in polys]), point)
+    if order is None and all(c.is_zero() for c in center):
+        return [f.embed(t) for f in polys]
     cap = order if order is not None else max(f.degree() for f in polys) + 1
     shifted = [f.embed(t)._terms for f in polys]
     for idx, c in enumerate(center):

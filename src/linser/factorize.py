@@ -142,6 +142,9 @@ def _choose_prime(g):
         p += 1
 
 
+_SMALL_PRIMES = [p for p in range(100) if _is_prime(p)]
+
+
 # -- Cantor–Zassenhaus over F_p -------------------------------------------------
 
 
@@ -303,8 +306,21 @@ def _factor_rational_squarefree(f: UniPoly):
     if f.degree() <= 1:
         return [f]
     coeffs = [c.as_rational() for c in f.coeffs]
-    b = math.lcm(*(c.denominator for c in coeffs))
     n = len(coeffs) - 1
+    # each b^(n-i)*c_i must be integral: a prime below 100 enters b with the
+    # least exponent that does it, the rest of the denominators' lcm whole
+    rest = math.lcm(*(c.denominator for c in coeffs))
+    b = 1
+    for p in _SMALL_PRIMES:
+        if rest % p == 0:
+            e = 1
+            while any((c * p ** (e * (n - i))).denominator % p == 0
+                      for i, c in enumerate(coeffs[:n])):
+                e += 1
+            b *= p ** e
+            while rest % p == 0:
+                rest //= p
+    b *= rest
     g = [int(coeffs[i] * b ** (n - i)) for i in range(n + 1)]
     parts = _factor_int_monic_squarefree(g)
     out = []

@@ -638,10 +638,11 @@ def conjugation(tower: FieldTower) -> FieldAutomorphism:
     """The involutive automorphism sending each generator to a conjugate root.
 
     Candidate images are roots, inside the tower itself, of the image of
-    each generator's minimal polynomial under the partial map built so far.
-    Roots different from the generator are preferred; the first assignment
-    that squares to the identity wins.  Raises ConjugationUnavailable when
-    no such assignment exists.
+    each generator's minimal polynomial under the partial map built so far;
+    where the map fixes that polynomial the generator is one root, and only
+    the cofactor is factored.  Roots different from the generator are
+    preferred; the first assignment that squares to the identity wins.
+    Raises ConjugationUnavailable when no such assignment exists.
     """
     if tower.width == 0:
         return FieldAutomorphism(tower, ())
@@ -652,12 +653,15 @@ def conjugation(tower: FieldTower) -> FieldAutomorphism:
 
     def roots_of_mapped_minpoly(j: int, images: tuple) -> list[FieldElement]:
         padded = images + (None,) * (tower.width - len(images))
-        coeffs = []
-        for c in gens[j].minpoly:
-            full = c.embed(tower)
-            coeffs.append(_apply_images(tower, padded, full))
-        poly = bipoly.UniPoly(tower, "t", tuple(coeffs))
+        full = [c.embed(tower) for c in gens[j].minpoly]
+        coeffs = [_apply_images(tower, padded, c) for c in full]
+        poly = bipoly.UniPoly(tower, "t", coeffs)
         roots = []
+        if coeffs == full:
+            # the map fixes the minimal polynomial, so alpha_j is a root
+            alpha = tower.gen(j)
+            roots.append(alpha)
+            poly = poly.exact_div(bipoly.UniPoly(tower, "t", (-alpha, 1)))
         for fac, _ in factorize.factor_univariate(poly):
             if fac.degree() == 1:
                 roots.append(-fac.coeffs[0])

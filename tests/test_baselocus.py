@@ -16,7 +16,13 @@ from linser.baselocus import (
     tree_from_json,
     tree_to_json,
 )
-from linser.bipoly import BiPoly, deriv_eval, pullback_blowup
+from linser.bipoly import (
+    BiPoly,
+    deriv_eval,
+    exact_div_power,
+    pullback_blowup,
+    uni_gcd_list,
+)
 from linser.errors import (
     InvalidInput,
     NonConstantGcd,
@@ -123,6 +129,78 @@ def test_strict_transform_checks_the_gcd_once(monkeypatch):
     out = strict_transform(F, node.sequence)
     assert len(calls) == 1
     assert multiplicity(out, node.point) == node.mult
+
+
+@pytest.mark.parametrize(
+    "texts, gaussian, calls",
+    [
+        (("u^2 - 2", "v^2 - 3"), False, 0),  # four leaves
+        (("v - u^6", "v^2"), False, 11),  # a chain of 12 nodes
+        (F_TEXTS, True, 1),  # the ex2 golden system
+    ],
+)
+def test_detection_pulls_back_only_charts_with_children(
+    monkeypatch, texts, gaussian, calls
+):
+    # the exceptional line and chart s's test come from the tangent cones,
+    # so a chart is pulled back only to carry its strict transforms to a child
+    tower = gaussian_pair()[0] if gaussian else QQ
+    charts = []
+    real = baselocus.pullback_blowup
+
+    def counted(polys, point, chart):
+        charts.append(chart)
+        return real(polys, point, chart)
+
+    monkeypatch.setattr(baselocus, "pullback_blowup", counted)
+    tree = get_basepoints(series(texts, tower))
+    assert len(charts) == calls
+    assert calls == sum(
+        bool(n.children_t) + bool(n.children_s) for n in tree.nodes()
+    )
+
+
+def _line_by_pullback(shifted, m, tower):
+    """The exceptional line and chart s's test through both pullbacks."""
+    zero = tower.zero()
+    origin = (zero, zero)
+    strict_t = exact_div_power(pullback_blowup(shifted, origin, "t"), "v", m)
+    strict_s = exact_div_power(pullback_blowup(shifted, origin, "s"), "u", m)
+    line = uni_gcd_list(
+        p for p in (f.substitute("v", zero) for f in strict_t) if not p.is_zero()
+    )
+    return line, all(not f.eval(origin) for f in strict_s)
+
+
+def test_exceptional_line_matches_the_pullback():
+    gauss, i = gaussian_pair()
+    rng = random.Random(15)
+    seen = set()
+    for tower, values in (
+        (QQ, (0, 0, 0, 1, -1, 2, Fraction(1, 2))),
+        (gauss, (0, 0, 0, 1, -1, i, 1 - 2 * i)),
+    ):
+        for _ in range(60):
+            m = rng.randint(1, 3)
+            x, y = (tower.rational(0) + rng.choice(values) for _ in range(2))
+            du = BiPoly.variable(tower, "u") - x
+            dv = BiPoly.variable(tower, "v") - y
+            polys = []
+            for k in range(rng.randint(1, 3)):
+                terms = {(a, d - a): rng.choice(values)
+                         for d in range(m, m + 3) for a in range(d + 1)}
+                if k == 0:
+                    # a nonzero term of degree m fixes the multiplicity
+                    a = rng.randint(0, m)
+                    terms[(a, m - a)] = rng.choice(values[3:])
+                polys.append(sum((c * du ** a * dv ** b for (a, b), c in terms.items()),
+                                 BiPoly.zero(tower)))
+            shifted, mult = baselocus._expansion(polys, (x, y))
+            assert mult == m
+            line, s_point = baselocus._exceptional_line(shifted, m, tower)
+            assert (line, s_point) == _line_by_pullback(shifted, m, tower)
+            seen.add((line.degree() > 0, s_point))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_single_node_tree():

@@ -14,6 +14,7 @@ from linser.bipoly import (
     gcd_tuple,
     pullback_blowup,
     resultant,
+    taylor_shift,
     uni_gcd_list,
 )
 from linser.errors import InvalidInput, NotDivisible
@@ -345,6 +346,21 @@ def test_pullback_chart_shapes():
     su, sv = pullback_blowup([u, v], (x, y), "s")
     assert str(su) == "u + 2"
     assert str(sv) == "u*v - 1"
+
+
+def test_taylor_shift_at_the_origin_returns_its_inputs():
+    tower, _, i = extend_field(QQ, [1, 0, 1], "i")
+    polys = [bp("u^3*v - 2*u + v^2 + 5"), bp("u*v - i*u^2", tower)]
+    for origin in ((0, 0), (QQ.zero(), tower.zero())):
+        out = taylor_shift(polys, origin)
+        assert out == polys
+        assert all(f.tower is tower for f in out)
+    # with an order the expansion is still truncated
+    assert taylor_shift(polys, (0, 0), order=3) == [
+        bp("-2*u + v^2 + 5"),
+        bp("u*v - i*u^2", tower),
+    ]
+    assert taylor_shift(polys, (0, 0), order=2) == [bp("-2*u + 5"), BiPoly.zero(tower)]
 
 
 def test_deriv_eval_matches_taylor_expansion():

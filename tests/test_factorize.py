@@ -1,5 +1,6 @@
 """Tests for univariate factorization over the rationals and their extensions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -224,6 +225,81 @@ def test_integer_recombination(factors):
     found = factorize._factor_int_monic_squarefree(g)
     assert found == factors
     assert _z_prod(found) == g
+
+
+def test_rational_scaling_takes_the_least_power(monkeypatch):
+    # 3^4 clears 2/81 from t^4 - 2/81: b = 3, where the lcm 81 gives
+    # x^4 - 2*81^3 = x^4 - 1062882
+    seen = []
+    real = factorize._factor_int_monic_squarefree
+
+    def spy(g):
+        seen.append(list(g))
+        return real(g)
+
+    monkeypatch.setattr(factorize, "_factor_int_monic_squarefree", spy)
+    factors = factor_univariate(up("t^4 - 2/81"))
+    assert seen == [[-2, 0, 0, 0, 1]]
+    assert [(str(g), m) for g, m in factors] == [("t^4 - 2/81", 1)]
+
+
+def _factor_by_lcm(f):
+    """Factors of a monic squarefree f over QQ, with coefficient i scaled by
+    b^(n-i) for b the lcm of all denominators."""
+    coeffs = [c.as_rational() for c in f.coeffs]
+    b = math.lcm(*(c.denominator for c in coeffs))
+    n = len(coeffs) - 1
+    g = [int(coeffs[i] * b ** (n - i)) for i in range(n + 1)]
+    return [
+        UniPoly(QQ, "t", [Fraction(part[i], b ** (len(part) - 1 - i)) for i in range(len(part))])
+        for part in factorize._factor_int_monic_squarefree(g)
+    ]
+
+
+def _seeded_denominators():
+    """Monic squarefree products with denominators built from 2, 3, 5, 7 and
+    the primes 101 and 103, above the exact-exponent range."""
+    rng = random.Random(81)
+    dens = (1, 2, 4, 3, 9, 27, 25, 7, 101, 2 * 103, 101 * 9)
+    out = []
+    for _ in range(14):
+        f = UniPoly.one(QQ, "t")
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 3)
+            f = f * UniPoly(
+                QQ, "t", [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(d)] + [1]
+            )
+        f = squarefree_part(f)
+        if f.degree() >= 2:
+            out.append(f)
+    return out
+
+
+def test_rational_factors_as_by_the_lcm():
+    polys = _seeded_denominators()
+    assert any(c.as_rational().denominator % 101 == 0 for f in polys for c in f.coeffs)
+    for f in polys:
+        ours = factorize._factor_rational_squarefree(f)
+        assert sorted(ours, key=UniPoly.sort_key) == sorted(_factor_by_lcm(f), key=UniPoly.sort_key)
+        assert rebuild(f, [(g, 1) for g in ours]) == f
+
+
+def test_rational_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for f in _seeded_denominators():
+        expr = sum(sympy.Rational(c.as_rational()) * t**k for k, c in enumerate(f.coeffs))
+        _, theirs = sympy.factor_list(expr, t)
+        theirs = sorted(
+            tuple(Fraction(int(c.p), int(c.q))
+                  for c in reversed(sympy.Poly(g, t).monic().all_coeffs()))
+            for g, _ in theirs
+        )
+        ours = sorted(
+            tuple(c.as_rational() for c in g.coeffs)
+            for g in factorize._factor_rational_squarefree(f)
+        )
+        assert ours == theirs
 
 
 PRIMES = [p for p in range(5, 212) if factorize._is_prime(p)]

@@ -231,6 +231,38 @@ def test_conjugation_deep_tower():
     assert sigma(s) == -s
 
 
+def test_conjugation_of_a_square_root_of_i():
+    # over Q(i)(r), r^2 = i, the map i -> -i sends t^2 - i to t^2 + i, which
+    # it does not fix, so that polynomial is factored whole: roots +-i*r
+    tower, _, i = gaussian()
+    tower2, emb, r = extend_field(tower, [-i, 0, 1], "r")
+    sigma = conjugation(tower2)
+    i2 = emb(i)
+    assert sigma(i2) == -i2
+    assert sigma(r) == -i2 * r
+    for x in (i2, r, i2 * r + tower2.rational(Fraction(1, 3)) * r - i2):
+        assert sigma(sigma(x)) == x
+
+
+def test_conjugation_factors_only_the_cofactor(monkeypatch):
+    # a rational minimal polynomial is fixed, so the generator is a root and
+    # only the linear cofactor reaches the factoring
+    from linser import factorize
+
+    towers = [extend_field(QQ, [c, 0, 1], name) for c, name in ((1, "i"), (-2, "s"))]
+    degrees = []
+    real = factorize.factor_univariate
+
+    def counted(f, tower=None):
+        degrees.append(f.degree())
+        return real(f, tower)
+
+    monkeypatch.setattr(factorize, "factor_univariate", counted)
+    for tower, _, g in towers:
+        assert conjugation(tower)(g) == -g
+    assert degrees == [1, 1]
+
+
 def test_sort_key_orders_rationals_first():
     tower, _, i = gaussian()
     vals = [i, tower.rational(Fraction(1, 2)), -i, tower.rational(Fraction(-1))]
