@@ -14,7 +14,6 @@ from __future__ import annotations
 from . import factorize, parsing
 from .bipoly import (
     UniPoly,
-    exact_div_power,
     gcd_tuple,
     pullback_blowup,
     taylor_shift,
@@ -197,8 +196,7 @@ def strict_transform(F, sequence):
             raise NotABasepoint(
                 f"({point[0]}, {point[1]}) is not a basepoint of the transform"
             )
-        pulled = pullback_blowup(shifted, (0, 0), chart)
-        polys = exact_div_power(pulled, "v" if chart == "t" else "u", m)
+        polys = pullback_blowup(shifted, chart, m)
     return polys
 
 
@@ -253,8 +251,6 @@ def _build_node(point, transforms, sequence, chain, depth, max_depth):
     shifted, m = _expansion(transforms, point)
     if m < 1:
         raise LinserError("zero multiplicity for a verified common zero")
-    zero = chain.zero()
-    origin = (zero, zero)
 
     # Chart t sees every direction on the exceptional line but one, so its
     # points are the roots of the transforms' gcd along v = 0; a point
@@ -267,11 +263,11 @@ def _build_node(point, transforms, sequence, chain, depth, max_depth):
     if line.degree() > 0:
         roots, chain = factorize.adjoin_roots(line, chain)
         roots.sort(key=lambda r: (max(r.trim().tower.width, floor), r.sort_key()))
-        strict_t = exact_div_power(pullback_blowup(shifted, origin, "t"), "v", m)
+        strict_t = pullback_blowup(shifted, "t", m)
         found = [("t", strict_t, (r, chain.zero())) for r in roots]
     if s_point:
-        strict_s = exact_div_power(pullback_blowup(shifted, origin, "s"), "u", m)
-        found.append(("s", strict_s, origin))
+        strict_s = pullback_blowup(shifted, "s", m)
+        found.append(("s", strict_s, (chain.zero(), chain.zero())))
 
     children = {"t": [], "s": []}
     for chart, strict, child_point in found:

@@ -4,11 +4,11 @@ BiPoly is a sparse bivariate polynomial with FieldElement coefficients.
 UniPoly is the one dense univariate kernel: coefficient arithmetic,
 factoring and root work.  The module also provides the handful of
 global operations the blowup machinery needs: gcds and resultants, both
-read off one subresultant PRS, exact division by a power of a variable,
-and the one blowup primitive, taylor_shift, which expands polynomials
-about a shared center.  A chart pullback is that shift plus an exponent
-relabel; a derivative at a point is a coefficient of the shift times
-factorials.
+read off one subresultant PRS, and the one blowup step.  That step is
+taylor_shift, which expands polynomials about a shared center, then
+pullback_blowup, which relabels the expansion's exponents into a chart
+and divides out the exceptional power in the same pass.  A derivative at
+a point is a coefficient of the shift times factorials.
 """
 
 from __future__ import annotations
@@ -358,13 +358,6 @@ class BiPoly:
         idx = 0 if var == "u" else 1
         return max(k[idx] for k in self._terms)
 
-    def min_degree(self, var: str) -> int:
-        if not self._terms:
-            return 0
-        _check_var(var)
-        idx = 0 if var == "u" else 1
-        return min(k[idx] for k in self._terms)
-
     def lex_leading(self):
         """Leading (exponents, coefficient) for lex order with u above v."""
         if not self._terms:
@@ -505,21 +498,6 @@ class BiPoly:
         if any(not r.is_zero() for r in rem):
             raise NotDivisible("bivariate division left a remainder")
         return _from_dense(q, main, a.tower)
-
-    def shift_down(self, var: str, m: int) -> "BiPoly":
-        """Divide by var**m, discarding terms of lower degree in var."""
-        _check_var(var)
-        if not isinstance(m, int) or m < 0:
-            raise InvalidInput("shift amount must be a nonnegative integer")
-        idx = 0 if var == "u" else 1
-        out = {}
-        for (du, dv), c in self._terms.items():
-            e = (du, dv)[idx]
-            if e < m:
-                continue
-            k = (du - m, dv) if idx == 0 else (du, dv - m)
-            out[k] = c
-        return BiPoly(self.tower, out)
 
     def as_unipoly(self, var: str) -> UniPoly:
         _check_var(var)
@@ -784,10 +762,17 @@ def taylor_shift(polys, point, order: int | None = None):
     and shared by the whole list.  With ``order``, terms of total degree
     ``order`` or more are dropped; the tables stop short of most of them.
     Without it, a shift to the origin returns the inputs on the joined tower.
+    The center is a pair of ints, Fractions or FieldElements.
     """
     polys = list(polys)
     if not polys:
         raise InvalidInput("empty collection")
+    if not (
+        isinstance(point, (tuple, list))
+        and len(point) == 2
+        and all(isinstance(c, (int, Rational, FieldElement)) for c in point)
+    ):
+        raise InvalidInput(f"a center is a pair of field elements, not {point!r}")
     t, center = _on_common_tower(reduce(common_tower, [f.tower for f in polys]), point)
     if order is None and all(c.is_zero() for c in center):
         return [f.embed(t) for f in polys]
@@ -823,36 +808,27 @@ def _shift_terms(terms, idx, table, cap):
     return out
 
 
-def pullback_blowup(polys, point, chart: str):
-    """Pull a collection of BiPoly back through one blowup chart.
+def pullback_blowup(shifted, chart: str, m: int):
+    """Transforms in one blowup chart, with the exceptional power u^m or v^m
+    divided out, of polynomials expanded about the center (taylor_shift).
 
-    Chart "t" substitutes (v*u + x, v + y), chart "s" substitutes
-    (u + x, u*v + y), where (x, y) is the center being blown up.  Both
-    are the Taylor shift to the center followed by an exponent relabel:
-    u^a v^b becomes u^a v^(a+b) in chart "t" and u^(a+b) v^b in chart "s".
+    Chart "t" substitutes (u*v, v), chart "s" substitutes (u, u*v): u^a v^b
+    becomes u^a v^(a+b-m) in chart "t" and u^(a+b-m) v^b in chart "s", and
+    terms with a + b < m are dropped.  With m the lowest total degree of
+    the expansion none is dropped, and these are the strict transforms;
+    with m = 0 they are the total transforms.
     """
     if chart not in ("t", "s"):
         raise InvalidInput(f"unknown chart {chart!r}; expected 't' or 's'")
-    out = []
-    for f in taylor_shift(polys, point):
-        if chart == "t":
-            terms = {(a, a + b): c for (a, b), c in f._terms.items()}
-        else:
-            terms = {(a + b, b): c for (a, b), c in f._terms.items()}
-        out.append(BiPoly(f.tower, terms))
-    return out
-
-
-def exact_div_power(polys, var: str, m: int):
-    """Divide each polynomial by var**m, requiring exact divisibility."""
-    _check_var(var)
     if not isinstance(m, int) or m < 0:
         raise InvalidInput("power must be a nonnegative integer")
     out = []
-    for f in polys:
-        if not f.is_zero() and f.min_degree(var) < m:
-            raise NotDivisible(f"polynomial is not divisible by {var}^{m}")
-        out.append(f.shift_down(var, m))
+    for f in shifted:
+        if chart == "t":
+            terms = {(a, a + b - m): c for (a, b), c in f._terms.items() if a + b >= m}
+        else:
+            terms = {(a + b - m, b): c for (a, b), c in f._terms.items() if a + b >= m}
+        out.append(BiPoly(f.tower, terms))
     return out
 
 

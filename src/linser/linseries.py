@@ -141,9 +141,9 @@ def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
     Rows follow the tree's node order; each node contributes the
     m(m+1)/2 derivative rows of all orders a+b < m, taken on the current
     transform of the generators: a!*b! times the (a, b) coefficients of
-    one expansion about the node.  Entering a branch relabels that
-    expansion into the chart and divides by the exceptional power,
-    discarding remainders (their vanishing is what the rows at the node
+    one expansion about the node.  Entering a branch is one
+    pullback_blowup of that expansion, which drops the terms below the
+    exceptional power (their vanishing is what the rows at the node
     already encode).
 
     Each expansion stops below the node's subtree order (see
@@ -160,7 +160,6 @@ def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
     if not G.generators:
         raise InvalidInput("the series has no generators")
     t = common_tower(tree.tower, G.tower)
-    origin = (t.zero(), t.zero())
     orders = {}
     for root in tree.roots:
         _expansion_orders(root, orders)
@@ -173,15 +172,11 @@ def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
             for b in range(node.mult - a):
                 scale = factorial(a) * factorial(b)
                 rows.append(tuple(f.coeff(a, b) * scale for f in shifted))
-        for chart, var, children in (
-            ("t", "v", node.children_t),
-            ("s", "u", node.children_s),
-        ):
+        for chart, children in (("t", node.children_t), ("s", node.children_s)):
             if children:
-                pulled = pullback_blowup(shifted, origin, chart)
-                divided = [f.shift_down(var, node.mult) for f in pulled]
+                strict = pullback_blowup(shifted, chart, node.mult)
                 for child in children:
-                    visit(child, divided)
+                    visit(child, strict)
 
     gens = [g.embed(t) for g in G.generators]
     for root in tree.roots:

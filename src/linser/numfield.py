@@ -469,7 +469,16 @@ class FieldElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.tower, self.num, self.den))
+        # agree with == on ints and Fractions, and across embeddings, which
+        # only pad the numerator with zeros (BiPoly and UniPoly compare
+        # equal across nested towers)
+        num = self.num
+        if not any(num[1:]):
+            return hash(Fraction(num[0], self.den))
+        last = len(num)
+        while not num[last - 1]:
+            last -= 1
+        return hash((num[:last], self.den))
 
     def sort_key(self):
         return tuple(self.terms())

@@ -24,7 +24,14 @@ from linser.baselocus import (
     tree_from_json,
     tree_to_json,
 )
-from linser.bipoly import BiPoly, UniPoly, gcd_tuple, pullback_blowup, resultant
+from linser.bipoly import (
+    BiPoly,
+    UniPoly,
+    gcd_tuple,
+    pullback_blowup,
+    resultant,
+    taylor_shift,
+)
 from linser.factorize import factor_univariate
 from linser.linseries import (
     Bidegree,
@@ -102,21 +109,24 @@ def test_criterion_1_basepoint_tree_and_chart_transforms():
 
     # the first chart substitutes (v*u, v) at the origin
     origin = (tower.zero(), tower.zero())
-    pulled_t = pullback_blowup(F, origin, "t")
+    shifted = taylor_shift(F, origin)
+    pulled_t = pullback_blowup(shifted, "t", 0)
     assert pulled_t == series(("v^2*u^2 + v^2", "v^2 + v*u"), tower)
     strict_t = strict_transform(F, [(origin, "t")])
     assert strict_t == series(("u^2*v + v", "u + v"), tower)
     # dividing out the exceptional factor v is exact
     v = parse_bipoly("v", tower)
     assert [f * v for f in strict_t] == pulled_t
+    assert pullback_blowup(shifted, "t", 1) == strict_t
 
     # the second chart substitutes (u, u*v) at the origin
-    pulled_s = pullback_blowup(F, origin, "s")
+    pulled_s = pullback_blowup(shifted, "s", 0)
     assert pulled_s == series(("u^2 + u^2*v^2", "u^2*v^2 + u"), tower)
     strict_s = strict_transform(F, [(origin, "s")])
     assert strict_s == series(("u + u*v^2", "u*v^2 + 1"), tower)
     u = parse_bipoly("u", tower)
     assert [f * u for f in strict_s] == pulled_s
+    assert pullback_blowup(shifted, "s", 1) == strict_s
 
 
 def test_criterion_2_constraint_matrix_kernel_series():

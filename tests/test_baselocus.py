@@ -19,8 +19,8 @@ from linser.baselocus import (
 from linser.bipoly import (
     BiPoly,
     deriv_eval,
-    exact_div_power,
     pullback_blowup,
+    taylor_shift,
     uni_gcd_list,
 )
 from linser.errors import (
@@ -91,15 +91,18 @@ def test_blowup_transforms_at_origin():
     F = series(F_TEXTS, tower)
     origin = (tower.zero(), tower.zero())
 
-    pulled_t = pullback_blowup(F, origin, "t")
+    shifted = taylor_shift(F, origin)
+    pulled_t = pullback_blowup(shifted, "t", 0)
     assert [str(f) for f in pulled_t] == ["u^2*v^2 + v^2", "u*v + v^2"]
     strict_t = strict_transform(F, [(origin, "t")])
     assert [str(f) for f in strict_t] == ["u^2*v + v", "u + v"]
+    assert pullback_blowup(shifted, "t", 1) == strict_t
 
-    pulled_s = pullback_blowup(F, origin, "s")
+    pulled_s = pullback_blowup(shifted, "s", 0)
     assert [str(f) for f in pulled_s] == ["u^2*v^2 + u^2", "u^2*v^2 + u"]
     strict_s = strict_transform(F, [(origin, "s")])
     assert [str(f) for f in strict_s] == ["u*v^2 + u", "u*v^2 + 1"]
+    assert pullback_blowup(shifted, "s", 1) == strict_s
 
 
 def test_strict_transform_two_steps():
@@ -148,9 +151,9 @@ def test_detection_pulls_back_only_charts_with_children(
     charts = []
     real = baselocus.pullback_blowup
 
-    def counted(polys, point, chart):
+    def counted(shifted, chart, m):
         charts.append(chart)
-        return real(polys, point, chart)
+        return real(shifted, chart, m)
 
     monkeypatch.setattr(baselocus, "pullback_blowup", counted)
     tree = get_basepoints(series(texts, tower))
@@ -161,11 +164,13 @@ def test_detection_pulls_back_only_charts_with_children(
 
 
 def _line_by_pullback(shifted, m, tower):
-    """The exceptional line and chart s's test through both pullbacks."""
+    """The exceptional line and chart s's test through both strict
+    transforms, by chart substitution and exact division."""
     zero = tower.zero()
     origin = (zero, zero)
-    strict_t = exact_div_power(pullback_blowup(shifted, origin, "t"), "v", m)
-    strict_s = exact_div_power(pullback_blowup(shifted, origin, "s"), "u", m)
+    u, v = BiPoly.variable(tower, "u"), BiPoly.variable(tower, "v")
+    strict_t = [f.subs_polys(u * v, v).exact_div(v ** m) for f in shifted]
+    strict_s = [f.subs_polys(u, u * v).exact_div(u ** m) for f in shifted]
     line = uni_gcd_list(
         p for p in (f.substitute("v", zero) for f in strict_t) if not p.is_zero()
     )
@@ -385,6 +390,21 @@ def test_input_validation():
         get_basepoints([])
     with pytest.raises(InvalidInput):
         get_basepoints([BiPoly.zero(QQ)])
+
+
+def test_centers_are_pairs_of_field_elements():
+    # every blowup and multiplicity expands about its center in taylor_shift,
+    # which takes only a pair of ints, Fractions or FieldElements
+    F = series(("(u - 1)^2 + v^3", "(u - 1)*v"))
+    assert multiplicity(F, (1, 0)) == 2
+    assert multiplicity(F, (Fraction(1), QQ.zero())) == 2
+    for bad in ((1,), (1, 0, 7), ("x", "y"), (1.0, 0.0), 1, None):
+        with pytest.raises(InvalidInput):
+            multiplicity(F, bad)
+        with pytest.raises(InvalidInput):
+            strict_transform(F, [(bad, "t")])
+        with pytest.raises(InvalidInput):
+            deriv_eval(F[0], 0, 0, bad)
 
 
 def test_json_round_trip_is_bit_exact():

@@ -10,7 +10,6 @@ from linser.bipoly import (
     BiPoly,
     UniPoly,
     deriv_eval,
-    exact_div_power,
     gcd_tuple,
     pullback_blowup,
     resultant,
@@ -104,7 +103,6 @@ def test_degrees():
     assert p.degree() == 4
     assert p.degree("u") == 3
     assert p.degree("v") == 2
-    assert p.min_degree("v") == 1
     assert BiPoly.zero(QQ).degree() == -1
 
 
@@ -149,18 +147,21 @@ def test_exact_div():
         bp("u^2 + v").exact_div(q)
 
 
-def test_exact_div_power():
-    out = exact_div_power([bp("u^2*v + u*v^2"), bp("v^3")], "v", 1)
-    assert [str(f) for f in out] == ["u^2 + u*v", "v^2"]
-    with pytest.raises(NotDivisible):
-        exact_div_power([bp("u^2*v + u")], "v", 1)
-    with pytest.raises(InvalidInput):
-        exact_div_power([bp("v")], "v", -1)
-
-
-def test_shift_down_discards_remainder():
-    assert str(bp("u^2*v + u").shift_down("v", 1)) == "u^2"
-    assert bp("u").shift_down("v", 2).is_zero()
+def test_pullback_blowup_divides_out_the_exceptional_power():
+    F = [bp("u^2*v + u*v^2"), bp("v^3 - u^2")]
+    # m = 2, the lowest total degree: the division is exact
+    assert pullback_blowup(F, "t", 2) == [bp("u^2*v + u*v"), bp("v - u^2")]
+    assert pullback_blowup(F, "s", 2) == [bp("u*v + u*v^2"), bp("u*v^3 - 1")]
+    # m = 3 drops the terms of total degree below 3
+    assert pullback_blowup(F, "t", 3) == [bp("u^2 + u"), bp("1")]
+    assert pullback_blowup(F, "s", 3) == [bp("v + v^2"), bp("v^3")]
+    assert pullback_blowup([bp("u")], "t", 2) == [BiPoly.zero(QQ)]
+    # m = 0 is the total transform
+    assert pullback_blowup(F, "t", 0) == [bp("u^2*v^3 + u*v^3"), bp("v^3 - u^2*v^2")]
+    assert pullback_blowup(F, "s", 0) == [bp("u^3*v + u^3*v^2"), bp("u^3*v^3 - u^2")]
+    for chart, m in (("x", 1), ("t", -1), ("s", 1.0)):
+        with pytest.raises(InvalidInput):
+            pullback_blowup(F, chart, m)
 
 
 def test_gcd_goldens():
@@ -328,7 +329,7 @@ def test_pullback_is_ring_homomorphism():
         for chart in ("t", "s"):
             for point in pts:
                 pf, pg, psum, pprod = pullback_blowup(
-                    [f, g, f + g, f * g], point, chart
+                    taylor_shift([f, g, f + g, f * g], point), chart, 0
                 )
                 assert pf + pg == psum
                 assert pf * pg == pprod
@@ -340,10 +341,10 @@ def test_pullback_chart_shapes():
     u = bp("u")
     v = bp("v")
     x, y = QQ.rational(Fraction(2)), QQ.rational(Fraction(-1))
-    tu, tv = pullback_blowup([u, v], (x, y), "t")
+    tu, tv = pullback_blowup(taylor_shift([u, v], (x, y)), "t", 0)
     assert str(tu) == "u*v + 2"
     assert str(tv) == "v - 1"
-    su, sv = pullback_blowup([u, v], (x, y), "s")
+    su, sv = pullback_blowup(taylor_shift([u, v], (x, y)), "s", 0)
     assert str(su) == "u + 2"
     assert str(sv) == "u*v - 1"
 

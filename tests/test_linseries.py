@@ -285,8 +285,8 @@ def test_span_containment():
 
 def reference_rows(tree, G):
     """The rows as computed without truncation: the full expansion about
-    each node, then the chart relabel and the division by the exceptional
-    power on the way to its children."""
+    each node, then the chart substitution and the division by the
+    exceptional power, remainder dropped, on the way to its children."""
     t = common_tower(tree.tower, G.tower)
     u, v = BiPoly.variable(t, "u"), BiPoly.variable(t, "v")
     rows = []
@@ -298,13 +298,18 @@ def reference_rows(tree, G):
             for b in range(node.mult - a):
                 scale = factorial(a) * factorial(b)
                 rows.append(tuple(f.coeff(a, b) * scale for f in shifted))
-        for children, var, relabel in (
-            (node.children_t, "v", lambda a, b: (a, a + b)),
-            (node.children_s, "u", lambda a, b: (a + b, b)),
+        m = node.mult
+        for children, chart, idx, e in (
+            (node.children_t, (u * v, v), 1, v),
+            (node.children_s, (u, u * v), 0, u),
         ):
-            pulled = [BiPoly(t, {relabel(*e): c for e, c in f.terms().items()}) for f in shifted]
+            pulled = [f.subs_polys(*chart).terms().items() for f in shifted]
+            divided = [
+                BiPoly(t, {k: c for k, c in terms if k[idx] >= m}).exact_div(e ** m)
+                for terms in pulled
+            ]
             for child in children:
-                visit(child, [f.shift_down(var, node.mult) for f in pulled])
+                visit(child, divided)
 
     for root in tree.roots:
         visit(root, [g.embed(t) for g in G.generators])

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from linser.bipoly import UniPoly
+from linser.bipoly import BiPoly, UniPoly
 from linser.errors import (
     ConjugationUnavailable,
     DivisionByZero,
@@ -14,6 +14,7 @@ from linser.errors import (
     InvalidExtension,
 )
 from linser.numfield import QQ, _adjoin, conjugation, extend_field
+from linser.parsing import parse_bipoly
 
 
 def gaussian():
@@ -277,6 +278,29 @@ def test_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_hash_agrees_with_equality_on_rationals_and_embeddings():
+    tower, _, i = gaussian()
+    deep, _, _ = extend_field(tower, [-2, 0, 1], "r")
+    for x in (QQ.rational(1), QQ.zero(), QQ.rational(Fraction(-3, 4)),
+              tower.rational(7), deep.rational(Fraction(5, 2))):
+        assert x == x.as_rational()
+        assert hash(x) == hash(x.as_rational())
+    assert len({QQ.rational(1), 1}) == 1
+    # embedding only pads the numerator with zeros
+    for x in (i + Fraction(1, 3), 2 * i):
+        assert hash(x.embed(deep)) == hash(x)
+    a = parse_bipoly("u + 1", QQ)
+    b = parse_bipoly("i*u*v - 1/2", tower)
+    for f in (a, b):
+        g = f.embed(deep)
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+        p = f.substitute("v", 1)
+        assert len({p, p.embed(deep)}) == 1
+    u = BiPoly.variable(QQ, "u")
+    assert len({a, a.embed(tower), a.embed(deep), u + 1}) == 1
 
 
 def _towers_with_t2_terms():
