@@ -147,21 +147,27 @@ def test_exact_div():
         bp("u^2 + v").exact_div(q)
 
 
-def test_pullback_blowup_divides_out_the_exceptional_power():
+def test_exact_div_power():
+    # pullback_blowup divides out the exceptional power; at m = 2, the lowest
+    # total degree, the division is exact
     F = [bp("u^2*v + u*v^2"), bp("v^3 - u^2")]
-    # m = 2, the lowest total degree: the division is exact
     assert pullback_blowup(F, "t", 2) == [bp("u^2*v + u*v"), bp("v - u^2")]
     assert pullback_blowup(F, "s", 2) == [bp("u*v + u*v^2"), bp("u*v^3 - 1")]
-    # m = 3 drops the terms of total degree below 3
-    assert pullback_blowup(F, "t", 3) == [bp("u^2 + u"), bp("1")]
-    assert pullback_blowup(F, "s", 3) == [bp("v + v^2"), bp("v^3")]
-    assert pullback_blowup([bp("u")], "t", 2) == [BiPoly.zero(QQ)]
     # m = 0 is the total transform
     assert pullback_blowup(F, "t", 0) == [bp("u^2*v^3 + u*v^3"), bp("v^3 - u^2*v^2")]
     assert pullback_blowup(F, "s", 0) == [bp("u^3*v + u^3*v^2"), bp("u^3*v^3 - u^2")]
     for chart, m in (("x", 1), ("t", -1), ("s", 1.0)):
         with pytest.raises(InvalidInput):
             pullback_blowup(F, chart, m)
+
+
+def test_shift_down_discards_remainder():
+    # pullback_blowup drops the terms of total degree below m
+    F = [bp("u^2*v + u*v^2"), bp("v^3 - u^2")]
+    assert pullback_blowup(F, "t", 3) == [bp("u^2 + u"), bp("1")]
+    assert pullback_blowup(F, "s", 3) == [bp("v + v^2"), bp("v^3")]
+    assert pullback_blowup([bp("u")], "t", 2) == [BiPoly.zero(QQ)]
+    assert pullback_blowup([bp("u")], "s", 2) == [BiPoly.zero(QQ)]
 
 
 def test_gcd_goldens():
