@@ -109,6 +109,6 @@ def kernel(rows, ncols: int, zero, one):
         for i, c in enumerate(pivots):
             val = reduced[i][j]
             if val:
-                v[c] = zero - val
+                v[c] = -val
         vecs.append(v[::-1])
     return vecs

@@ -322,21 +322,35 @@ def tree_to_json(tree: BasepointTree) -> dict:
     }
 
 
-def _parse_point(data, tower: FieldTower):
+def _parse_point(data, parse):
     if (
         not isinstance(data, (list, tuple))
         or len(data) != 2
         or not all(isinstance(c, str) for c in data)
     ):
         raise InvalidInput(f"a point must be a pair of expression strings: {data!r}")
-    return (
-        parsing.parse_element(data[0], tower),
-        parsing.parse_element(data[1], tower),
-    )
+    return parse(data[0]), parse(data[1])
+
+
+def _element_parser(tower: FieldTower):
+    """parsing.parse_element over ``tower``, once per distinct string: the
+    nodes of a tree document repeat their ancestors' coordinates."""
+    parsed = {}
+
+    def parse(text: str):
+        if text not in parsed:
+            parsed[text] = parsing.parse_element(text, tower)
+        return parsed[text]
+
+    return parse
 
 
 def sequence_from_json(data, tower: FieldTower):
     """Blowup steps ((x, y), chart) from a list of [[x, y], chart] entries."""
+    return _sequence_from_json(data, _element_parser(tower))
+
+
+def _sequence_from_json(data, parse):
     if not isinstance(data, list):
         raise InvalidInput("a blowup sequence must be a list")
     steps = []
@@ -346,11 +360,11 @@ def sequence_from_json(data, tower: FieldTower):
         pt_data, ch = entry
         if ch not in _CHARTS:
             raise InvalidInput(f"unknown chart {ch!r}; expected 't' or 's'")
-        steps.append((_parse_point(pt_data, tower), ch))
+        steps.append((_parse_point(pt_data, parse), ch))
     return tuple(steps)
 
 
-def _node_from_json(data, tower, parent_seq, parent_point, chart, depth, max_depth):
+def _node_from_json(data, parse, parent_seq, parent_point, chart, depth, max_depth):
     if depth > max_depth:
         raise RecursionLimitExceeded(
             f"tree input passed the depth limit of {max_depth}"
@@ -370,10 +384,10 @@ def _node_from_json(data, tower, parent_seq, parent_point, chart, depth, max_dep
         expected_seq = ()
     else:
         expected_seq = parent_seq + ((parent_point, chart),)
-    seq = sequence_from_json(data["sequence"], tower)
+    seq = _sequence_from_json(data["sequence"], parse)
     if seq != expected_seq:
         raise InvalidInput("node sequence does not match its position in the tree")
-    point = _parse_point(data["point"], tower)
+    point = _parse_point(data["point"], parse)
     mult = data["mult"]
     if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
         raise InvalidInput(f"multiplicity must be a positive integer: {mult!r}")
@@ -381,11 +395,11 @@ def _node_from_json(data, tower, parent_seq, parent_point, chart, depth, max_dep
         if not isinstance(data[key], list):
             raise InvalidInput(f"{key} must be a list")
     children_t = tuple(
-        _node_from_json(c, tower, seq, point, "t", depth + 1, max_depth)
+        _node_from_json(c, parse, seq, point, "t", depth + 1, max_depth)
         for c in data["children_t"]
     )
     children_s = tuple(
-        _node_from_json(c, tower, seq, point, "s", depth + 1, max_depth)
+        _node_from_json(c, parse, seq, point, "s", depth + 1, max_depth)
         for c in data["children_s"]
     )
     return BasepointNode(seq, point, mult, children_t, children_s)
@@ -400,8 +414,9 @@ def tree_from_json(data, max_depth: int = DEFAULT_MAX_DEPTH) -> BasepointTree:
     tower = parsing.tower_from_json(data["tower"])
     if not isinstance(data["tree"], list):
         raise InvalidInput("tree must be a list of root nodes")
+    parse = _element_parser(tower)
     roots = tuple(
-        _node_from_json(n, tower, (), None, None, 1, max_depth)
+        _node_from_json(n, parse, (), None, None, 1, max_depth)
         for n in data["tree"]
     )
     return BasepointTree(roots, tower)

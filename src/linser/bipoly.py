@@ -9,6 +9,11 @@ taylor_shift, which expands polynomials about a shared center, then
 pullback_blowup, which relabels the expansion's exponents into a chart
 and divides out the exceptional power in the same pass.  A derivative at
 a point is a coefficient of the shift times factorials.
+
+The constructors validate and coerce every coefficient.  Results whose
+coefficients are already nonzero elements of the result's tower (the
+shift, the pullback, and UniPoly sums, products and quotients) are built
+through the private _of constructors instead, which skip that work.
 """
 
 from __future__ import annotations
@@ -63,6 +68,16 @@ class UniPoly:
         self.tower = tower
         self.var = var
         self.coeffs = tuple(_trim([self._coerce_coeff(c) for c in coeffs]))
+
+    @classmethod
+    def _of(cls, tower: FieldTower, var: str, coeffs: list) -> "UniPoly":
+        # for coefficients already elements of ``tower`` (arithmetic on this
+        # class's results), skipping coercion; trailing zeros are trimmed
+        out = object.__new__(cls)
+        out.tower = tower
+        out.var = var
+        out.coeffs = tuple(_trim(coeffs))
+        return out
 
     def _coerce_coeff(self, c) -> FieldElement:
         if isinstance(c, FieldElement):
@@ -138,7 +153,7 @@ class UniPoly:
     def _termwise(self, other, op):
         a, b = self._pair(other)
         n = max(len(a.coeffs), len(b.coeffs))
-        return UniPoly(a.tower, a.var, [op(a.coeff(k), b.coeff(k)) for k in range(n)])
+        return UniPoly._of(a.tower, a.var, [op(a.coeff(k), b.coeff(k)) for k in range(n)])
 
     def __add__(self, other):
         return self._termwise(other, operator.add)
@@ -146,7 +161,7 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(self.tower, self.var, [-c for c in self.coeffs])
+        return UniPoly._of(self.tower, self.var, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self._termwise(other, operator.sub)
@@ -165,7 +180,7 @@ class UniPoly:
                 continue
             for j, cb in nonzero_b:
                 out[i + j] = out[i + j] + ca * cb
-        return UniPoly(a.tower, a.var, out)
+        return UniPoly._of(a.tower, a.var, out)
 
     __rmul__ = __mul__
 
@@ -197,7 +212,7 @@ class UniPoly:
             for k in range(db + 1):
                 rem[shift + k] = rem[shift + k] - factor * b.coeffs[k]
             _trim(rem)
-        return UniPoly(a.tower, a.var, q), UniPoly(a.tower, a.var, rem)
+        return UniPoly._of(a.tower, a.var, q), UniPoly._of(a.tower, a.var, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -215,7 +230,7 @@ class UniPoly:
         if lead == 1:
             return self
         inv = lead.inverse()
-        return UniPoly(self.tower, self.var, [c * inv for c in self.coeffs])
+        return UniPoly._of(self.tower, self.var, [c * inv for c in self.coeffs])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         a, b = self._pair(other)
@@ -303,6 +318,16 @@ class BiPoly:
                     clean[(du, dv)] = c
         self._terms = clean
         self._hash = None
+
+    @classmethod
+    def _of(cls, tower: FieldTower, terms: dict) -> "BiPoly":
+        # for terms known to be nonzero elements of ``tower`` under valid
+        # exponent pairs, skipping validation; the dict is kept, not copied
+        out = object.__new__(cls)
+        out.tower = tower
+        out._terms = terms
+        out._hash = None
+        return out
 
     @classmethod
     def zero(cls, tower: FieldTower) -> "BiPoly":
@@ -788,8 +813,9 @@ def taylor_shift(polys, point, order: int | None = None):
             for n in exps
         }
         shifted = [_shift_terms(terms, idx, table, cap) for terms in shifted]
+    # sums in _shift_terms may cancel to zero
     return [
-        BiPoly(t, {e: c for e, c in terms.items() if e[0] + e[1] < cap})
+        BiPoly._of(t, {e: c for e, c in terms.items() if e[0] + e[1] < cap and c})
         for terms in shifted
     ]
 
@@ -828,7 +854,7 @@ def pullback_blowup(shifted, chart: str, m: int):
             terms = {(a, a + b - m): c for (a, b), c in f._terms.items() if a + b >= m}
         else:
             terms = {(a + b - m, b): c for (a, b), c in f._terms.items() if a + b >= m}
-        out.append(BiPoly(f.tower, terms))
+        out.append(BiPoly._of(f.tower, terms))
     return out
 
 

@@ -4,7 +4,8 @@ Subcommands wrap the library one-to-one.  stdout carries nothing but the
 JSON report; human-oriented diagnostics go to stderr.  Exit codes: 0 on
 success, 2 for unparseable or invalid input, 3 when a mathematical
 precondition fails (common factor, missing adjoint, not a basepoint),
-4 for internal errors and tripped recursion guards.
+4 for internal errors and tripped recursion guards.  The report is
+written in the layout of json.dumps(report, indent=2), byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import baselocus, linseries, nslattice, parsing
 from .baselocus import DEFAULT_MAX_DEPTH
@@ -276,6 +278,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(x, newline="\n") -> str:
+    """json.dumps(x, indent=2) for string-keyed reports, each string
+    escaped by the C encoder (with an indent, json.dumps runs in Python)."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if not isinstance(x, (list, tuple, dict)):
+        return json.dumps(x)
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(x, dict):
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    items = [encode_basestring_ascii(v) if isinstance(v, str) else _dumps(v, inner) for v in x]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -293,7 +312,7 @@ def main(argv=None) -> int:
     except LinserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
     return 0
 
 

@@ -398,6 +398,8 @@ def squarefree_decomposition(f: UniPoly):
         return [(f, 1)]
     d = f.derivative()
     a = f.gcd(d)
+    if a.is_constant():
+        return [(f, 1)]
     b = f.exact_div(a)
     c = d.exact_div(a)
     rest = c - b.derivative()

@@ -164,14 +164,20 @@ def set_basepoints(tree: BasepointTree, G: LinearSeries) -> ConstraintMatrix:
     for root in tree.roots:
         _expansion_orders(root, orders)
     rows = []
+    zero = t.zero()
 
     def visit(node: BasepointNode, polys):
         point = (node.point[0].embed(t), node.point[1].embed(t))
         shifted = taylor_shift(polys, point, orders[id(node)])
+        coeffs = [f.terms() for f in shifted]
         for a in range(node.mult):
             for b in range(node.mult - a):
-                scale = factorial(a) * factorial(b)
-                rows.append(tuple(f.coeff(a, b) * scale for f in shifted))
+                key, scale = (a, b), factorial(a) * factorial(b)
+                if scale == 1:
+                    rows.append(tuple([c.get(key, zero) for c in coeffs]))
+                else:
+                    scale = t.rational(scale)
+                    rows.append(tuple([c[key] * scale if key in c else zero for c in coeffs]))
         for chart, children in (("t", node.children_t), ("s", node.children_s)):
             if children:
                 strict = pullback_blowup(shifted, chart, node.mult)
@@ -203,7 +209,8 @@ def kernel_members(M: ConstraintMatrix, G: LinearSeries, kernel) -> LinearSeries
                 for e, x in terms.items():
                     prod = c * x
                     acc[e] = acc[e] + prod if e in acc else prod
-        out.append(BiPoly(M.tower, acc))
+        # the products are elements of M.tower; sums may cancel to zero
+        out.append(BiPoly._of(M.tower, {e: x for e, x in acc.items() if x}))
     # independent kernel vectors applied to an independent G stay independent
     return LinearSeries._known_independent(out, M.tower)
 

@@ -15,11 +15,17 @@ per-tower table, built on first use, that rewrites each monomial past a
 generator's degree in the basis.  An element x is inverted by solving
 x * y = 1 on the basis: the same table gives the integer matrix of
 multiplication by x, which _gauss.integer_rref reduces in one pass.
+
+An element prints as a sum of terms, highest exponents first; a rational
+element or polynomial coefficient prints straight from its pair, already
+in lowest terms.  Printing an integer of more than MAX_DIGITS digits
+raises SizeLimitExceeded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Callable
@@ -484,12 +490,14 @@ class FieldElement:
         return tuple(self.terms())
 
     def __str__(self) -> str:
-        if not any(self.num):
+        num = self.num
+        if not any(num):
             return "0"
-        if len(self.num) == 1:
+        if len(num) == 1:
             # QQ: the pair is already in lowest terms
-            sign, text = _term(self.num[0], self.den)
-            return "-" + text if sign < 0 else text
+            n, d = num[0], self.den
+            _check_digits(n, d)
+            return str(n) if d == 1 else f"{n}/{d}"
         names = self.tower.names()
         return _signed_sum(_term(n, d, _monomial_text(names, e)) for e, n, d in self.terms())
 
@@ -497,15 +505,19 @@ class FieldElement:
         return f"<{self} in {self.tower!r}>"
 
 
-def _monomial_text(names, exps) -> str:
+@lru_cache(maxsize=4096)
+def _monomial_text(names: tuple[str, ...], exps: tuple[int, ...]) -> str:
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
 
 
-def _term(n: int, d: int, *monos: str) -> tuple[int, str]:
-    """(sign, text) of the term (n/d) * monos; a magnitude of 1 is left out."""
+def _check_digits(n: int, d: int) -> None:
     if max(abs(n), d) >= _TOO_LONG:
         raise SizeLimitExceeded(f"a coefficient has more than {MAX_DIGITS} digits")
-    mono = "*".join(m for m in monos if m)
+
+
+def _term(n: int, d: int, mono: str = "") -> tuple[int, str]:
+    """(sign, text) of the term (n/d) * mono; a magnitude of 1 is left out."""
+    _check_digits(n, d)
     mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
     if not mono:
         return (-1 if n < 0 else 1), mag
@@ -530,12 +542,17 @@ def render_terms(items, varnames) -> str:
     pieces = []
     for exps, c in items:
         mono = _monomial_text(varnames, exps)
+        if len(c.num) == 1:
+            # QQ: the pair is already in lowest terms
+            pieces.append(_term(c.num[0], c.den, mono))
+            continue
         terms = c.terms()
         if len(terms) > 1:
             pieces.append((1, f"({c})*{mono}" if mono else f"({c})"))
         else:
             ((gen_exps, n, d),) = terms
-            pieces.append(_term(n, d, _monomial_text(c.tower.names(), gen_exps), mono))
+            gen_mono = _monomial_text(c.tower.names(), gen_exps)
+            pieces.append(_term(n, d, "*".join(m for m in (gen_mono, mono) if m)))
     return _signed_sum(pieces)
 
 

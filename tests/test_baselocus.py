@@ -458,6 +458,34 @@ def test_json_depth_guard():
     assert tree_from_json(chain_doc(40), max_depth=64).node_count() == 40
 
 
+def test_tree_document_parses_each_coordinate_once(monkeypatch):
+    # a chain of depth 6 whose nodes repeat all their ancestors' points in
+    # their sequences; chart t children sit at v = 0
+    xs = ["1/2", "3", "-1", "2/3", "5", "-7"]
+    root = {"sequence": [], "point": [xs[0], "-3/4"], "mult": 2,
+            "children_t": [], "children_s": []}
+    cur, seq = root, []
+    for x in xs[1:]:
+        seq = seq + [[cur["point"], "t"]]
+        child = {"sequence": seq, "point": [x, "0"], "mult": 1,
+                 "children_t": [], "children_s": []}
+        cur["children_t"] = [child]
+        cur = child
+    doc = {"tower": [], "tree": [root]}
+    calls = []
+    parse = baselocus.parsing.parse_element
+
+    def spy(text, tower):
+        calls.append(text)
+        return parse(text, tower)
+
+    monkeypatch.setattr(baselocus.parsing, "parse_element", spy)
+    tree = tree_from_json(doc)
+    assert tree.node_count() == 6
+    assert sorted(calls) == sorted(set(xs) | {"-3/4", "0"})
+    assert tree_to_json(tree) == doc
+
+
 def test_json_validation_errors():
     good = chain_doc(3)
     bad = json.loads(json.dumps(good))

@@ -402,3 +402,67 @@ def test_monic_lex():
     p = bp("3*u*v^2 - 6*u*v")
     assert str(p.monic_lex()) == "u*v^2 - 2*u*v"
     assert p.lex_leading()[0] == (1, 2)
+
+
+def _through_validation(p):
+    """The same terms passed through the validating constructor."""
+    if isinstance(p, BiPoly):
+        return BiPoly(p.tower, p.terms())
+    return UniPoly(p.tower, p.var, p.coeffs)
+
+
+def _assert_well_formed(p):
+    # arithmetic builds its results without the validating constructor, so
+    # they must already be what that constructor would make of them
+    if isinstance(p, BiPoly):
+        assert p.terms() == _through_validation(p).terms()
+        assert all(c for c in p.terms().values())
+        coeffs = p.terms().values()
+    else:
+        assert p.coeffs == _through_validation(p).coeffs
+        assert not p.coeffs or p.coeffs[-1]
+        coeffs = p.coeffs
+    assert all(c.tower is p.tower for c in coeffs)
+
+
+def _random_unipoly(rng, tower, gen=None, max_deg=4):
+    size = rng.randint(0, max_deg + 1)
+    return UniPoly(tower, "t", [_random_coeff(rng, tower, gen) for _ in range(size)])
+
+
+def test_shift_and_pullback_results_are_well_formed():
+    rng = random.Random(17)
+    gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    # (u - 1)^2 + v shifted to (1, 0) cancels every term of u-degree below 2
+    cancels = bp("u^2 - 2*u + 1 + v")
+    assert taylor_shift([cancels], (1, 0))[0].terms().keys() == {(2, 0), (0, 1)}
+    for tower, gen in ((QQ, None), (gaussian, i)):
+        for _ in range(25):
+            polys = [_random_bipoly(rng, tower, gen=gen) for _ in range(3)] + [cancels]
+            point = (_random_coeff(rng, tower, gen), _random_coeff(rng, tower, gen))
+            for order in (None, 3):
+                shifted = taylor_shift(polys, point, order)
+                for f in shifted:
+                    _assert_well_formed(f)
+                # the lowest total degree, as detection divides it out
+                m = min((a + b for f in shifted for a, b in f.terms()), default=0)
+                for chart in ("t", "s"):
+                    for power in {0, m, m + 1}:
+                        for f in pullback_blowup(shifted, chart, power):
+                            _assert_well_formed(f)
+
+
+def test_unipoly_arithmetic_results_are_well_formed():
+    rng = random.Random(19)
+    gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    for tower, gen in ((QQ, None), (gaussian, i)):
+        for _ in range(40):
+            a = _random_unipoly(rng, tower, gen)
+            b = _random_unipoly(rng, tower, gen)
+            low = _random_unipoly(rng, tower, gen, max_deg=1)
+            # the leading terms cancel in (a + low) - a and in a - a
+            results = [a * b, a + b, a - b, -a, a - a, (a + low) - a, a.monic(), b.monic()]
+            if not b.is_zero():
+                results.extend(a.divmod(b))
+            for p in results:
+                _assert_well_formed(p)

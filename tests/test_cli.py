@@ -399,3 +399,33 @@ def test_chart_field_accepted_and_not_echoed():
     out = run("invariants", "-", stdin=json.dumps(doc).encode())
     assert out.returncode == 0
     assert out.stdout == golden_bytes("conic_invariants.out.json")
+
+
+_ADVERSARIAL_PAYLOADS = [
+    {},
+    [],
+    "",
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+    {"text": 'quote " backslash \\ slash / tab \t newline \n nul \x00 bell \x07 del \x7f'},
+    {"non-ascii": ["é", "ß", "ü", "∞", "日本", "\U0001f600", "  "]},
+    {"é \"key\" \\ \n": "value"},
+    {"leaves": [None, True, False, 0, -1, 2**70, -(3**40)]},
+    {"tuple": (1, "two", (None, ()), [()])},
+    [[[[["deep"]]]], {"x": [1, {"y": [2, {"z": []}]}]}],
+    None,
+    True,
+    7,
+]
+
+
+@pytest.mark.parametrize("payload", _ADVERSARIAL_PAYLOADS)
+def test_report_writer_matches_json_dumps(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_report_writer_matches_json_dumps_on_every_golden():
+    for path in sorted(GOLDEN.glob("*.json")):
+        payload = json.loads(path.read_text())
+        assert cli._dumps(payload) == json.dumps(payload, indent=2), path.name
+        if path.name.endswith(".out.json"):
+            assert (cli._dumps(payload) + "\n").encode() == path.read_bytes(), path.name

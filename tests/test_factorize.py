@@ -457,3 +457,65 @@ def test_tower_factors_match_sympy(levels, values, splits):
     assert sorted((g.degree(), m) for g, m in factors) == sorted(
         (sympy.degree(g, t), m) for g, m in theirs
     )
+
+
+def _yun_reference(f):
+    """squarefree_decomposition by Yun's loop with no early exit."""
+    f = f.monic()
+    if f.degree() <= 0:
+        return []
+    if f.degree() == 1:
+        return [(f, 1)]
+    d = f.derivative()
+    a = f.gcd(d)
+    b = f.exact_div(a)
+    rest = d.exact_div(a) - b.derivative()
+    out = []
+    i = 1
+    while not b.is_constant():
+        g = b.gcd(rest)
+        if g.degree() > 0:
+            out.append((g, i))
+        b = b.exact_div(g)
+        rest = rest.exact_div(g) - b.derivative()
+        i += 1
+    return out
+
+
+def _squarefree_corpus():
+    rng = random.Random(31)
+    gauss, _, i = extend_field(QQ, [1, 0, 1], "i")
+    out = []
+    for tower, gen in ((QQ, None), (gauss, i)):
+        for _ in range(30):
+            f = UniPoly.constant(tower, "t", Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3)):
+                coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 3))] + [1]
+                if gen is not None:
+                    coeffs = [c + gen * rng.randint(-1, 1) for c in coeffs[:-1]] + [1]
+                f = f * UniPoly(tower, "t", coeffs) ** rng.choice((1, 1, 2, 3))
+            out.append(f)
+    return out
+
+
+def test_squarefree_decomposition_matches_yun_loop():
+    corpus = _squarefree_corpus()
+    assert sum(_yun_reference(f) == [(f.monic(), 1)] for f in corpus) > 10
+    assert sum(any(m > 1 for _, m in _yun_reference(f)) for f in corpus) > 10
+    for f in corpus:
+        assert squarefree_decomposition(f) == _yun_reference(f)
+
+
+def test_squarefree_input_takes_one_gcd(monkeypatch):
+    calls = []
+    gcd = UniPoly.gcd
+
+    def spy(self, other):
+        calls.append(other)
+        return gcd(self, other)
+
+    monkeypatch.setattr(UniPoly, "gcd", spy)
+    f = up("t^4 - 3*t^2 + t - 7/2")
+    assert squarefree_decomposition(f) == [(f.monic(), 1)]
+    assert len(calls) == 1

@@ -17,6 +17,7 @@ from linser.linseries import (
     decremented_tree,
     fits_degree,
     kernel_basis,
+    kernel_members,
     monomial_basis,
     series_through,
     set_basepoints,
@@ -375,6 +376,32 @@ def test_truncated_rows_match_full_expansion(tower, roots, spec):
     tree = tree_doc(roots, tower)
     G = monomial_basis(spec)
     assert list(set_basepoints(tree, G).rows) == reference_rows(tree, G)
+
+
+def assert_members_well_formed(tree, G):
+    # members are built without the validating constructor
+    M = set_basepoints(tree, G)
+    kernel = kernel_basis(M)
+    members = kernel_members(M, G, kernel)
+    for vec, f in zip(kernel, members):
+        ref = BiPoly.zero(M.tower)
+        for c, g in zip(vec, G.generators):
+            ref = ref + BiPoly.constant(M.tower, c) * g
+        assert f.terms() == ref.terms()
+        assert all(c and c.tower is f.tower for c in f.terms().values())
+    return members
+
+
+@pytest.mark.parametrize("tower, roots, spec", TRUNCATION_CASES)
+def test_kernel_members_are_well_formed(tower, roots, spec):
+    assert_members_well_formed(tree_doc(roots, tower), monomial_basis(spec))
+
+
+def test_kernel_members_drop_cancelled_terms():
+    # a double point at the origin takes (u^2 + v) + (u^2 - v), whose v cancels
+    tree = tree_doc([(("0", "0"), 2, [], [])])
+    members = assert_members_well_formed(tree, series(("u^2 + v", "u^2 - v", "u", "1")))
+    assert [str(f) for f in members] == ["2*u^2"]
 
 
 def spy_orders(monkeypatch):

@@ -12,8 +12,9 @@ from linser.errors import (
     DivisionByZero,
     FieldMismatch,
     InvalidExtension,
+    SizeLimitExceeded,
 )
-from linser.numfield import QQ, _adjoin, conjugation, extend_field
+from linser.numfield import MAX_DIGITS, QQ, _adjoin, conjugation, extend_field
 from linser.parsing import parse_bipoly
 
 
@@ -364,3 +365,111 @@ def test_elements_keep_dense_invariants():
     assert (x * 0).num == (0,) * 6 and (x * 0).den == 1
     assert s.trim().tower == below and embed(s.trim()) == s
     assert (x - x).trim().tower == QQ
+
+
+# A renderer that shares nothing with numfield's: terms read off the
+# numerator in basis order, each put in lowest terms, highest exponents first.
+
+
+def _ref_monomial(names, exps):
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+def _ref_terms(x):
+    out = []
+    for e, n in zip(x.tower.exponents(), x.num):
+        if n:
+            g = gcd(n, x.den)
+            out.append((e, n // g, x.den // g))
+    return sorted(out, reverse=True)
+
+
+def _ref_term(n, d, *monos):
+    mono = "*".join(m for m in monos if m)
+    mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+    body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+    return ("-" if n < 0 else "+"), body
+
+
+def _ref_sum(pieces):
+    text = ""
+    for sign, body in pieces:
+        if not text:
+            text = body if sign == "+" else "-" + body
+        else:
+            text += f" {sign} {body}"
+    return text or "0"
+
+
+def _ref_element(x):
+    names = x.tower.names()
+    return _ref_sum([_ref_term(n, d, _ref_monomial(names, e)) for e, n, d in _ref_terms(x)])
+
+
+def _ref_poly(items, varnames):
+    pieces = []
+    for exps, c in items:
+        mono = _ref_monomial(varnames, exps)
+        terms = _ref_terms(c)
+        if len(terms) > 1:
+            pieces.append(("+", f"({_ref_element(c)})*{mono}" if mono else f"({_ref_element(c)})"))
+        else:
+            ((e, n, d),) = terms
+            pieces.append(_ref_term(n, d, _ref_monomial(c.tower.names(), e), mono))
+    return _ref_sum(pieces)
+
+
+def _rendering_towers():
+    gauss, _, _ = gaussian()
+    root2, _, s = extend_field(QQ, [-2, 0, 1], "s")
+    # 1 + s is not a square in Q(s): its norm is -1
+    nested, _, _ = extend_field(root2, [-(1 + s), 0, 1], "r")
+    return [QQ, gauss, nested]
+
+
+_RENDER_COEFFS = tuple(
+    Fraction(x) for x in ("0", "0", "1", "-1", "1/2", "-3/7", "5", "-12", "22/9")
+)
+
+
+def _seeded_element(rng, tower):
+    x = tower.zero()
+    for e in tower.exponents():
+        basis = tower.one()
+        for j, k in enumerate(e):
+            basis = basis * tower.gen(j) ** k
+        x = x + basis * rng.choice(_RENDER_COEFFS)
+    return x
+
+
+def test_rendering_matches_a_reference_renderer():
+    rng = random.Random(29)
+    for tower in _rendering_towers():
+        for _ in range(60):
+            x = _seeded_element(rng, tower)
+            assert str(x) == _ref_element(x)
+            coeffs = [_seeded_element(rng, tower) for _ in range(rng.randint(0, 4))]
+            p = UniPoly(tower, "t", coeffs)
+            items = [((k,), c) for k, c in enumerate(p.coeffs) if c][::-1]
+            assert str(p) == _ref_poly(items, ("t",))
+            terms = {(rng.randint(0, 3), rng.randint(0, 3)): _seeded_element(rng, tower)
+                     for _ in range(rng.randint(0, 5))}
+            f = BiPoly(tower, terms)
+            assert str(f) == _ref_poly(sorted(f.terms().items(), reverse=True), ("u", "v"))
+
+
+def test_rendering_past_the_digit_limit_raises():
+    gauss, _, i = gaussian()
+    for big in (10**MAX_DIGITS, -(10**MAX_DIGITS), Fraction(1, 10**MAX_DIGITS)):
+        for tower in (QQ, gauss):
+            x = tower.rational(big)
+            with pytest.raises(SizeLimitExceeded):
+                str(x)
+            for f in (BiPoly(tower, {(1, 0): x}), BiPoly(tower, {(0, 0): x, (0, 1): 1})):
+                with pytest.raises(SizeLimitExceeded):
+                    str(f)
+        with pytest.raises(SizeLimitExceeded):
+            str(BiPoly(gauss, {(1, 1): gauss.rational(big) * i}))
+    just_below = QQ.rational(10**MAX_DIGITS - 1)
+    assert str(just_below) == "9" * MAX_DIGITS
+    assert str(BiPoly(QQ, {(0, 1): just_below})) == "9" * MAX_DIGITS + "*v"
