@@ -1,10 +1,17 @@
 """Polynomials in u and v over a number field tower.
 
-BiPoly is a sparse bivariate polynomial with FieldElement coefficients.
-UniPoly is the one dense univariate kernel: coefficient arithmetic,
-factoring and root work.  The module also provides the handful of
-global operations the blowup machinery needs: gcds and resultants, both
-read off one subresultant PRS, and the one blowup step.  That step is
+BiPoly is a sparse bivariate polynomial with FieldElement coefficients,
+and UniPoly a dense univariate one, for coefficient arithmetic,
+factoring and root work.  The _z_ helpers are dense integer polynomials,
+over Z or mod m, shared with factorize.  The module also provides the
+handful of global operations the blowup machinery needs: gcds and
+resultants, both read off one subresultant PRS, and the one blowup step.
+
+The PRS takes its coefficient ring's product, difference, exact quotient
+and power, so one loop serves UniPoly coefficients over a tower, integer
+lists and integers.  Over QQ, resultants clear the denominators and run
+on lists of integer lists, and UniPoly.gcd runs on primitive integer
+lists; both return what the field arithmetic would.  The blowup step is
 taylor_shift, which expands polynomials about a shared center, then
 pullback_blowup, which relabels the expansion's exponents into a chart
 and divides out the exceptional power in the same pass.  A derivative at
@@ -12,15 +19,17 @@ a point is a coefficient of the shift times factorials.
 
 The constructors validate and coerce every coefficient.  Results whose
 coefficients are already nonzero elements of the result's tower (the
-shift, the pullback, and UniPoly sums, products and quotients) are built
+shift, the pullback, embeddings, and UniPoly sums, products and
+quotients) are built
 through the private _of constructors instead, which skip that work.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import reduce
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import (
     DivisionByZero,
@@ -28,7 +37,15 @@ from .errors import (
     InvalidInput,
     NotDivisible,
 )
-from .numfield import QQ, FieldElement, FieldTower, Rational, render_terms
+from .numfield import (
+    QQ,
+    FieldElement,
+    FieldTower,
+    Rational,
+    integer_row,
+    rational_row,
+    render_terms,
+)
 
 VARS = ("u", "v")
 
@@ -113,6 +130,9 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -234,6 +254,8 @@ class UniPoly:
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         a, b = self._pair(other)
+        if a.tower.width == 0:
+            return _rational_gcd(a, b)
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
@@ -263,7 +285,7 @@ class UniPoly:
     def embed(self, tower: FieldTower) -> "UniPoly":
         if tower is self.tower:
             return self
-        return UniPoly(tower, self.var, [c.embed(tower) for c in self.coeffs])
+        return UniPoly._of(tower, self.var, [c.embed(tower) for c in self.coeffs])
 
     def sort_key(self):
         return (
@@ -539,7 +561,7 @@ class BiPoly:
     def embed(self, tower: FieldTower) -> "BiPoly":
         if tower is self.tower:
             return self
-        return BiPoly(tower, {k: c.embed(tower) for k, c in self._terms.items()})
+        return BiPoly._of(tower, {k: c.embed(tower) for k, c in self._terms.items()})
 
     def sort_key(self):
         items = sorted(self._terms.items(), reverse=True)
@@ -583,6 +605,22 @@ def _powers(base, n: int, one) -> list:
     return out
 
 
+def _rational_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd of two UniPolys over QQ, read off the subresultant PRS of
+    their primitive integer multiples."""
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    if a.is_constant() or b.is_constant():
+        return UniPoly.one(a.tower, a.var)
+    pa, pb = integer_row(a.coeffs), integer_row(b.coeffs)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    last, rem, *_ = _subresultant_prs(pa, pb, _ZZ)
+    if rem:
+        return UniPoly.one(a.tower, a.var)
+    return UniPoly._of(a.tower, a.var, rational_row(a.tower, last, last[-1]))
+
+
 def uni_gcd_list(polys) -> UniPoly:
     """Monic gcd of a nonempty list of UniPoly in one shared variable."""
     polys = list(polys)
@@ -610,6 +648,19 @@ def _dense_main(f: BiPoly, main: str):
     return [UniPoly(f.tower, other, r) for r in rows]
 
 
+def _integer_main(f: BiPoly, main: str):
+    """(rows, den) for f over QQ: the coefficient list of den * f in the main
+    variable, entries integer lists in the other, den the lcm of f's
+    denominators."""
+    other = "v" if main == "u" else "u"
+    idx = 0 if main == "u" else 1
+    den = lcm(*(c.den for c in f._terms.values()))
+    rows = [[0] * (f.degree(other) + 1) for _ in range(f.degree(main) + 1)]
+    for key, c in f._terms.items():
+        rows[key[idx]][key[1 - idx]] = c.num[0] * (den // c.den)
+    return [_trim(r) for r in rows], den
+
+
 def _from_dense(coeffs, main: str, tower: FieldTower) -> BiPoly:
     idx = 0 if main == "u" else 1
     out = {}
@@ -621,31 +672,132 @@ def _from_dense(coeffs, main: str, tower: FieldTower) -> BiPoly:
 
 
 def _trim(cs):
-    while cs and cs[-1].is_zero():
+    """Drop trailing zero coefficients (any falsy entry) in place."""
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
 
-def _prem(a, b):
-    """Pseudo-remainder of dense UniPoly-coefficient lists, lc(b)^(da-db+1) scaling."""
+# -- dense integer polynomials (lists, low degree first), over Z or mod m -----
+
+
+def _z_mod(a, m):
+    return _trim([c % m for c in a])
+
+
+def _z_mul(a, b, m=None):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _trim(out) if m is None else _z_mod(out, m)
+
+
+def _z_add(a, b, sign=1):
+    """a + sign*b."""
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _trim(out)
+
+
+def _z_pow(a, n):
+    out = [1]
+    for _ in range(n):
+        out = _z_mul(out, a)
+    return out
+
+
+def _z_divmod(a, b, m=None):
+    """Quotient and remainder: over Z b must be monic; mod m, lc(b) a unit."""
+    r = _trim(list(a)) if m is None else _z_mod(a, m)
+    inv = 1 if m is None else pow(b[-1], -1, m)
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        f = r[-1] if inv == 1 else r[-1] * inv % m
+        k = len(r) - len(b)
+        q[k] = f
+        if m is None:
+            for i, bc in enumerate(b):
+                r[k + i] -= f * bc
+        else:
+            for i, bc in enumerate(b):
+                r[k + i] = (r[k + i] - f * bc) % m
+        _trim(r)
+    return _trim(q), r
+
+
+def _z_exact_div(a, b):
+    """a / b over Z for any nonzero b; raises NotDivisible unless b divides a."""
+    r = list(a)
+    lead = b[-1]
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        f, x = divmod(r[-1], lead)
+        if x:
+            break
+        k = len(r) - len(b)
+        q[k] = f
+        for i, bc in enumerate(b):
+            r[k + i] -= f * bc
+        _trim(r)
+    if r:
+        raise NotDivisible("integer polynomial division left a remainder")
+    return _trim(q)
+
+
+def _int_exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise NotDivisible("integer division left a remainder")
+    return q
+
+
+# -- one subresultant PRS over three coefficient rings ------------------------
+
+# The few operations the PRS takes from its coefficient ring: the unit, then
+# product, difference, exact quotient and power.
+_Ring = namedtuple("_Ring", "one mul sub div pow")
+
+# Z, for gcds in Q[x] run on primitive integer lists
+_ZZ = _Ring(1, operator.mul, operator.sub, _int_exact_div, pow)
+# Z[y], for resultants in Q[y][x] with the denominators cleared
+_ZZ_POLY = _Ring([1], _z_mul, lambda a, b: _z_add(a, b, -1), _z_exact_div, _z_pow)
+
+
+def _unipoly_ring(tower: FieldTower, var: str) -> _Ring:
+    """K[var] for a tower K, as UniPoly coefficients."""
+    return _Ring(
+        UniPoly.one(tower, var), operator.mul, operator.sub, UniPoly.exact_div, operator.pow
+    )
+
+
+def _prem(a, b, ring):
+    """Pseudo-remainder of dense coefficient lists, lc(b)^(da-db+1) scaling."""
+    mul, sub = ring.mul, ring.sub
     da = len(a) - 1
     db = len(b) - 1
     lb = b[-1]
-    monic = lb.is_constant() and lb.lc() == 1
+    monic = lb == ring.one
     rem = list(a)
     scale = da - db + 1
     while len(rem) - 1 >= db and rem:
         s = rem[-1]
         if not monic:
-            rem = [lb * c for c in rem]
+            rem = [mul(lb, c) for c in rem]
         shift = len(rem) - 1 - db
         for k in range(db + 1):
-            rem[shift + k] = rem[shift + k] - s * b[k]
+            rem[shift + k] = sub(rem[shift + k], mul(s, b[k]))
         _trim(rem)
         scale -= 1
     if scale > 0 and not monic:
-        mult = lb ** scale
-        rem = [mult * c for c in rem]
+        mult = ring.pow(lb, scale)
+        rem = [mul(mult, c) for c in rem]
     return rem
 
 
@@ -659,7 +811,7 @@ def _primitive(coeffs, tower, other):
     ]
 
 
-def _subresultant_prs(a, b, one):
+def _subresultant_prs(a, b, ring):
     """Brown's subresultant PRS of dense lists with deg a >= deg b >= 1.
 
     Runs until the first pseudo-remainder that is zero or constant and
@@ -668,28 +820,30 @@ def _subresultant_prs(a, b, one):
     and sign is that of Res(a, b), flipped at each step whose two degrees
     are both odd (Cohen, Algorithm 3.3.7).
     """
-    g = h = one
+    g = h = ring.one
     sign = 1
     while True:
         delta = len(a) - len(b)
         if (len(a) - 1) % 2 and (len(b) - 1) % 2:
             sign = -sign
-        rem = _prem(a, b)
+        rem = _prem(a, b, ring)
         if len(rem) <= 1:
             return b, rem, g, h, delta, sign
-        divisor = g * h ** delta
-        a, b = b, [c.exact_div(divisor) for c in rem]
+        divisor = ring.mul(g, ring.pow(h, delta))
+        if divisor != ring.one:
+            rem = [ring.div(c, divisor) for c in rem]
+        a, b = b, rem
         g = a[-1]
-        h = _next_h(h, g, delta)
+        h = _next_h(h, g, delta, ring)
 
 
-def _next_h(h, g, delta):
+def _next_h(h, g, delta, ring):
     """h^(1 - delta) * g^delta, the subresultant PRS's running scale."""
     if delta == 0:
         return h
     if delta == 1:
         return g
-    return (g ** delta).exact_div(h ** (delta - 1))
+    return ring.div(ring.pow(g, delta), ring.pow(h, delta - 1))
 
 
 def _gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
@@ -704,12 +858,12 @@ def _gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     cont_a, pa = _primitive(da, t, other)
     cont_b, pb = _primitive(db, t, other)
     cont = cont_a.gcd(cont_b)
-    one = UniPoly.one(t, other)
-    pg = [one]
+    ring = _unipoly_ring(t, other)
+    pg = [ring.one]
     if len(pa) > 1 and len(pb) > 1:
         if len(pa) < len(pb):
             pa, pb = pb, pa
-        last, rem, *_ = _subresultant_prs(pa, pb, one)
+        last, rem, *_ = _subresultant_prs(pa, pb, ring)
         if not rem:
             pg = _primitive(last, t, other)[1]
     result = _from_dense(pg, main, t)
@@ -763,20 +917,29 @@ def resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
         return f.as_unipoly(other) ** m
     if m == 0:
         return g.as_unipoly(other) ** n
+    # over QQ the PRS runs on F = cf*f and G = cg*g with integer coefficients,
+    # and Res(G, F) = cg^n * cf^m * Res(g, f)
+    if t.width == 0:
+        (a, cg), (b, cf) = _integer_main(g, eliminate), _integer_main(f, eliminate)
+        ring = _ZZ_POLY
+    else:
+        a, b = _dense_main(g, eliminate), _dense_main(f, eliminate)
+        ring = _unipoly_ring(t, other)
     # Res(g, f) = (-1)^(nm) Res(f, g); the PRS wants the larger degree first
-    a, b = _dense_main(g, eliminate), _dense_main(f, eliminate)
     swap = 1
     if m < n:
         a, b = b, a
         swap = -1 if n * m % 2 else 1
-    last, rem, g_prs, h, delta, sign = _subresultant_prs(a, b, UniPoly.one(t, other))
+    last, rem, g_prs, h, delta, sign = _subresultant_prs(a, b, ring)
     if not rem:
         return UniPoly.zero(t, other)
     # the one constant step the loop leaves undone
-    rem = rem[0].exact_div(g_prs * h ** delta)
-    h = _next_h(h, last[-1], delta)
+    rem = ring.div(rem[0], ring.mul(g_prs, ring.pow(h, delta)))
+    h = _next_h(h, last[-1], delta, ring)
     d = len(last) - 1
-    res = (rem ** d).exact_div(h ** (d - 1))
+    res = ring.div(ring.pow(rem, d), ring.pow(h, d - 1))
+    if t.width == 0:
+        return UniPoly._of(t, other, rational_row(t, res, sign * swap * cg**n * cf**m))
     return res if sign * swap > 0 else -res
 
 

@@ -7,7 +7,10 @@ Mignotte bound, then recombine subsets by trial division, after a test on
 their constant terms.  Over a tower K = L(a), Trager's norm is taken
 relative to the top generator: a shifted norm, squarefree over the
 subtower L, is factored over L by the same method one level down, and
-each of its factors pulls back to a factor over K by a gcd.
+each of its factors pulls back to a factor over K by a gcd.  When L is
+QQ, the shifted polynomial is summed on integers, and a norm coprime to
+its derivative modulo a prime is squarefree without an exact gcd.  The
+dense integer helpers (_z_*) are bipoly's.
 """
 
 from __future__ import annotations
@@ -16,67 +19,26 @@ import itertools
 import math
 import random
 
-from .bipoly import BiPoly, UniPoly, resultant
+from .bipoly import (
+    BiPoly,
+    UniPoly,
+    _trim,
+    _z_add,
+    _z_divmod,
+    _z_mod,
+    _z_mul,
+    resultant,
+)
 from .errors import InvalidInput
 from .numfield import FieldElement, FieldTower, Rational, _adjoin
 from .numfield import extend_field  # noqa: F401  (the benchmark's tracer wraps it here)
 
-# -- dense integer polynomials (lists, low degree first), over Z or mod m -----
-
-
-def _z_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _z_mod(a, m):
-    return _z_trim([c % m for c in a])
-
-
-def _z_mul(a, b, m=None):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _z_trim(out) if m is None else _z_mod(out, m)
-
-
-def _z_add(a, b, sign=1):
-    """a + sign*b."""
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += sign * c
-    return _z_trim(out)
+# -- dense integer polynomials: the _z_ helpers are bipoly's -------------------
 
 
 def _balanced(a, m):
     half = m // 2
-    return _z_trim([c - m if c > half else c for c in _z_mod(a, m)])
-
-
-def _z_divmod(a, b, m=None):
-    """Quotient and remainder: over Z b must be monic; mod m, lc(b) a unit."""
-    r = _z_trim(list(a)) if m is None else _z_mod(a, m)
-    inv = 1 if m is None else pow(b[-1], -1, m)
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        f = r[-1] if inv == 1 else r[-1] * inv % m
-        k = len(r) - len(b)
-        q[k] = f
-        if m is None:
-            for i, bc in enumerate(b):
-                r[k + i] -= f * bc
-        else:
-            for i, bc in enumerate(b):
-                r[k + i] = (r[k + i] - f * bc) % m
-        _z_trim(r)
-    return _z_trim(q), r
+    return _trim([c - m if c > half else c for c in _z_mod(a, m)])
 
 
 # -- dense polynomials over a prime field --------------------------------------
@@ -197,7 +159,7 @@ def _gf_equal_degree_split(f, d, table, p, rng):
         return [f]
     while True:
         # a constant a gives +-1, so no split, and another draw
-        s = b = _z_trim([rng.randrange(p) for _ in range(n)])
+        s = b = _trim([rng.randrange(p) for _ in range(n)])
         for _ in range(d - 1):
             b = _gf_frobenius(b, table, f, p)
             s = _z_divmod(_z_mul(s, b, p), f, p)[1]
@@ -367,12 +329,10 @@ def _factor_tower_squarefree(f: UniPoly):
         (k, i): b for k, c in enumerate(f.coeffs) for i, b in enumerate(c.top_dense(sub))
     })
     mv = BiPoly(sub, {(0, i): c for i, c in enumerate(minpoly)})
-    u = BiPoly.variable(sub, "u")
-    v = BiPoly.variable(sub, "v")
     top = tower.gen(tower.width - 1)
     for s in itertools.islice(_shifts(), _SHIFT_LIMIT):
-        norm = resultant(mv, fhat.subs_polys(u - s * v, v), "v").monic()
-        if norm.gcd(norm.derivative()).degree() != 0:
+        norm = _norm(fhat, mv, s).monic()
+        if not _is_squarefree(norm):
             continue
         nfacs = _factor_squarefree(norm)
         if len(nfacs) == 1:
@@ -387,6 +347,46 @@ def _factor_tower_squarefree(f: UniPoly):
             out.sort(key=UniPoly.sort_key)
             return out
     raise InvalidInput(f"norm stayed degenerate while factoring {f}")
+
+
+def _norm(fhat: BiPoly, mv: BiPoly, s: int) -> UniPoly:
+    """Res_v(mv, fhat(u - s*v, v)), Trager's norm at shift s.
+
+    Over QQ the substitution is summed on integers over one denominator,
+    by the binomial expansion of (u - s*v)^k."""
+    sub = fhat.tower
+    if sub.width:
+        u = BiPoly.variable(sub, "u")
+        v = BiPoly.variable(sub, "v")
+        return resultant(mv, fhat.subs_polys(u - s * v, v), "v")
+    terms = fhat.terms()
+    den = math.lcm(*(c.den for c in terms.values()))
+    acc = {}
+    for (k, i), c in terms.items():
+        x = c.num[0] * (den // c.den)
+        for j in range(k + 1):
+            key = (j, i + k - j)
+            acc[key] = acc.get(key, 0) + x * math.comb(k, j) * (-s) ** (k - j)
+    shifted = BiPoly(sub, {key: Rational(x, den) for key, x in acc.items()})
+    return resultant(mv, shifted, "v")
+
+
+def _is_squarefree(norm: UniPoly) -> bool:
+    """Whether a monic norm is squarefree.
+
+    Over QQ it is when, modulo the first prime from 5 up that divides no
+    denominator, it keeps its degree and is coprime to its derivative:
+    its monic factors over QQ are integral at that prime, so a square
+    factor would survive the reduction.  Otherwise the exact gcd decides.
+    """
+    if norm.tower.width == 0:
+        dens = math.lcm(*(c.den for c in norm.coeffs))
+        p = next(q for q in itertools.count(5) if dens % q and _is_prime(q))
+        reduced = [c.num[0] * pow(c.den, -1, p) % p for c in norm.coeffs]
+        deriv = [k * c for k, c in enumerate(reduced)][1:]
+        if reduced[-1] and len(_gf_gcd(reduced, deriv, p)) == 1:
+            return True
+    return norm.gcd(norm.derivative()).degree() == 0
 
 
 def squarefree_decomposition(f: UniPoly):

@@ -231,7 +231,8 @@ def monomial_basis(spec) -> LinearSeries:
     else:
         raise InvalidInput(f"unknown degree specification {spec!r}")
     # distinct monomials never overlap in support
-    return LinearSeries._known_independent([BiPoly(QQ, {e: 1}) for e in exps], QQ)
+    one = QQ.one()
+    return LinearSeries._known_independent([BiPoly._of(QQ, {e: one}) for e in exps], QQ)
 
 
 def fits_degree(poly: BiPoly, spec) -> bool:

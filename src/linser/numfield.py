@@ -12,7 +12,8 @@ equality compares numerators and denominators.
 
 A product is one integer convolution on exponents, then one pass over a
 per-tower table, built on first use, that rewrites each monomial past a
-generator's degree in the basis.  An element x is inverted by solving
+generator's degree in the basis; a rational factor only scales the
+other's numerator.  An element x is inverted by solving
 x * y = 1 on the basis: the same table gives the integer matrix of
 multiplication by x, which _gauss.integer_rref reduces in one pass.
 
@@ -209,6 +210,13 @@ def _normal(tower: FieldTower, num, den: int) -> "FieldElement":
     return FieldElement(tower, tuple([x // g for x in num]), den // g)
 
 
+def _scaled(x: "FieldElement", n: int, d: int) -> "FieldElement":
+    """x * (n / d), for n / d in lowest terms with d > 0."""
+    if n == d:
+        return x
+    return _normal(x.tower, [n * c for c in x.num], x.den * d)
+
+
 def _sum(x: "FieldElement", y: "FieldElement", op) -> "FieldElement":
     """x + y for op = add, x - y for op = sub, over x's tower."""
     b = y.num
@@ -340,6 +348,11 @@ class FieldElement:
             p = a[0] * b[0]
             g = gcd(p, den)
             return FieldElement(self.tower, (p // g,), den // g)
+        # a rational factor scales the other's numerator, in O(d) steps
+        if not any(b[1:]):
+            return _scaled(self, b[0], other.den)
+        if not any(a[1:]):
+            return _scaled(other, a[0], self.den)
         slots, size, over, scale = self.tower._mul_table()
         acc = [0] * size
         for x, row in zip(a, slots):

@@ -17,7 +17,8 @@ from linser.bipoly import (
     uni_gcd_list,
 )
 from linser.errors import InvalidInput, NotDivisible
-from linser.numfield import QQ, extend_field
+from linser.linseries import TotalDegree, monomial_basis
+from linser.numfield import QQ, FieldElement, extend_field
 from linser.parsing import parse_bipoly, parse_unipoly
 
 
@@ -433,6 +434,9 @@ def _random_unipoly(rng, tower, gen=None, max_deg=4):
 def test_shift_and_pullback_results_are_well_formed():
     rng = random.Random(17)
     gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    wider = extend_field(gaussian, [-2, 0, 1], "s")[0]
+    for g in monomial_basis(TotalDegree(3)).generators:
+        _assert_well_formed(g)
     # (u - 1)^2 + v shifted to (1, 0) cancels every term of u-degree below 2
     cancels = bp("u^2 - 2*u + 1 + v")
     assert taylor_shift([cancels], (1, 0))[0].terms().keys() == {(2, 0), (0, 1)}
@@ -444,6 +448,8 @@ def test_shift_and_pullback_results_are_well_formed():
                 shifted = taylor_shift(polys, point, order)
                 for f in shifted:
                     _assert_well_formed(f)
+                    _assert_well_formed(f.embed(wider))
+                    _assert_well_formed(f.substitute("v", 1).embed(wider))
                 # the lowest total degree, as detection divides it out
                 m = min((a + b for f in shifted for a, b in f.terms()), default=0)
                 for chart in ("t", "s"):
@@ -466,3 +472,59 @@ def test_unipoly_arithmetic_results_are_well_formed():
                 results.extend(a.divmod(b))
             for p in results:
                 _assert_well_formed(p)
+
+
+def _spy_products(monkeypatch):
+    """A list that grows by one at each product of two field elements."""
+    calls = []
+    real = FieldElement.__mul__
+
+    def spied(x, y):
+        calls.append(None)
+        return real(x, y)
+
+    monkeypatch.setattr(FieldElement, "__mul__", spied)
+    monkeypatch.setattr(FieldElement, "__rmul__", spied)
+    return calls
+
+
+def test_rational_resultant_and_gcd_multiply_no_field_elements(monkeypatch):
+    f = bp("3/2*u^3*v - u*v^2 + 5*v - 1/7")
+    g = bp("u^2*v^2 - 2/3*u + v^3 + 4")
+    p = parse_unipoly("(t^2 - 1/3)^2 * (t + 5/2)", QQ, "t")
+    q = parse_unipoly("(t^2 - 1/3) * (2*t^3 + t - 7)", QQ, "t")
+    calls = _spy_products(monkeypatch)
+    results = [resultant(f, g, "u"), resultant(f, g, "v"), resultant(g, f, "v"), p.gcd(q)]
+    assert calls == []
+    monkeypatch.undo()
+    assert results[:3] == [
+        sylvester_oracle(f, g, "u"), sylvester_oracle(f, g, "v"), sylvester_oracle(g, f, "v")
+    ]
+    assert str(results[3]) == "t^2 - 1/3"
+
+
+def _euclid_gcd(a, b):
+    """The Euclidean gcd over the field, kept as the reference."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def test_rational_gcd_matches_field_euclid():
+    rng = random.Random(31)
+    zero = UniPoly.zero(QQ, "t")
+    three = UniPoly.constant(QQ, "t", 3)
+    pairs = [(zero, zero), (zero, three), (three, zero), (three, three)]
+    for _ in range(60):
+        common = _random_unipoly(rng, QQ, max_deg=3)
+        a, b = _random_unipoly(rng, QQ), _random_unipoly(rng, QQ)
+        # coprime or not, with repeated factors, and zero among the inputs
+        pairs += [(a, b), (b, zero), (a * common**2, b * common), (common**3, common**2 * a)]
+    coprime = repeated = 0
+    for a, b in pairs:
+        ours = a.gcd(b)
+        assert ours == _euclid_gcd(a, b) == _euclid_gcd(b, a) == b.gcd(a)
+        _assert_well_formed(ours)
+        coprime += ours.degree() == 0
+        repeated += ours.degree() >= 2 and not ours.gcd(ours.derivative()).is_constant()
+    assert coprime >= 40 and repeated >= 20

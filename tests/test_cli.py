@@ -60,6 +60,15 @@ def test_main_called_repeatedly_in_one_process(capsys):
     assert capsys.readouterr().out.encode() == golden_bytes("ex2_basepoints.out.json")
 
 
+def test_basepoints_cube_root_golden():
+    # the points need t^2 + a0*t + a0^2 factored over Q(a0), through a
+    # Trager norm over QQ
+    out = run("basepoints", gpath("cube_root_input.json"))
+    assert out.returncode == 0
+    assert out.stdout == golden_bytes("cube_root_basepoints.out.json")
+    assert out.stderr == b""
+
+
 def test_basepoints_deterministic():
     first = run("basepoints", gpath("ex2_input.json"))
     second = run("basepoints", gpath("ex2_input.json"))

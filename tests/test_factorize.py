@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from linser.bipoly import UniPoly
+from linser.bipoly import BiPoly, UniPoly, resultant
 from linser.errors import InvalidInput
 from linser import factorize
 from linser.factorize import (
@@ -519,3 +519,65 @@ def test_squarefree_input_takes_one_gcd(monkeypatch):
     f = up("t^4 - 3*t^2 + t - 7/2")
     assert squarefree_decomposition(f) == [(f.monic(), 1)]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("minpoly", [[-2, 0, 1], [1, 0, 1], [1, 1, 0, 0, 1]])
+def test_norm_on_integers_matches_the_substituted_resultant(minpoly):
+    # over Q(sqrt 2), Q(i) and Q(a) with a^4 + a + 1 = 0
+    tower, _, a = extend_field(QQ, minpoly, "a")
+    rng = random.Random(str(minpoly))
+    mv = BiPoly(QQ, {(0, i): c for i, c in enumerate(minpoly)})
+    u, v = BiPoly.variable(QQ, "u"), BiPoly.variable(QQ, "v")
+    for _ in range(6):
+        coeffs = []
+        for _ in range(rng.randint(2, 5)):
+            c = tower.zero()
+            for k in range(len(minpoly) - 1):
+                c = c + a**k * Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            coeffs.append(c)
+        f = UniPoly(tower, "t", coeffs + [1])
+        fhat = BiPoly(QQ, {
+            (k, i): b for k, c in enumerate(f.coeffs) for i, b in enumerate(c.top_dense(QQ))
+        })
+        for s in (0, 1, -1):
+            want = resultant(mv, fhat.subs_polys(u - s * v, v), "v")
+            assert factorize._norm(fhat, mv, s) == want
+
+
+def test_squarefree_test_modulo_a_prime_falls_back_to_the_exact_gcd(monkeypatch):
+    gcds = []
+    real = UniPoly.gcd
+
+    def spied(a, b):
+        gcds.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(UniPoly, "gcd", spied)
+    # squarefree modulo 5, the first prime tried: no exact gcd
+    assert factorize._is_squarefree(up("t^4 - 3")) and gcds == []
+    # 2 divides a denominator, so 5 is tried
+    assert factorize._is_squarefree(up("t^2 - 1/2")) and gcds == []
+    # t^4 - 5 is t^4 modulo 5, but squarefree over QQ
+    assert factorize._gf_gcd([0, 0, 0, 0, 1], [0, 0, 0, 4], 5) == [0, 0, 0, 1]
+    assert factorize._is_squarefree(up("t^4 - 5")) and len(gcds) == 1
+    # 5 divides a denominator, so 7 is tried, where t^2 - 7/5 is t^2
+    assert factorize._is_squarefree(up("t^2 - 7/5")) and len(gcds) == 2
+    assert not factorize._is_squarefree(up("(t^2 - 2)^2"))
+    assert not factorize._is_squarefree(up("(t - 1/3)^2 * (t + 1)"))
+
+
+def test_shift_zero_kept_when_the_norm_is_squarefree_only_over_qq(monkeypatch):
+    # over Q(a), a^2 = 5, the norm of t^2 - a at shift 0 is t^4 - 5, which
+    # is t^4 modulo 5; the exact gcd still accepts shift 0
+    tower, _, a = extend_field(QQ, [-5, 0, 1], "a")
+    f = UniPoly(tower, "t", [-a, 0, 1])
+    shifts = []
+    real = factorize._norm
+
+    def spied(fhat, mv, s):
+        shifts.append(s)
+        return real(fhat, mv, s)
+
+    monkeypatch.setattr(factorize, "_norm", spied)
+    assert factor_univariate(f) == [(f, 1)]
+    assert shifts == [0]

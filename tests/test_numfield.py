@@ -14,7 +14,14 @@ from linser.errors import (
     InvalidExtension,
     SizeLimitExceeded,
 )
-from linser.numfield import MAX_DIGITS, QQ, _adjoin, conjugation, extend_field
+from linser.numfield import (
+    MAX_DIGITS,
+    QQ,
+    FieldElement,
+    _adjoin,
+    conjugation,
+    extend_field,
+)
 from linser.parsing import parse_bipoly
 
 
@@ -153,6 +160,48 @@ def test_inverse_is_the_solution_of_x_times_y_equals_one(name):
         checked += 1
     with pytest.raises(DivisionByZero):
         tower.zero().inverse()
+
+
+def _table_product(x, y):
+    """The convolution through the tower's table, for any two operands, kept
+    as the reference for products with a rational operand."""
+    slots, size, over, scale = x.tower._mul_table()
+    acc = [0] * size
+    for a, row in zip(x.num, slots):
+        for b, i in zip(y.num, row):
+            acc[i] += a * b
+    out = [scale * c for c in acc[: len(x.num)]]
+    for i, row in over:
+        for k, r in row:
+            out[k] += acc[i] * r
+    den = x.den * y.den * scale
+    g = gcd(den, *out)
+    return FieldElement(x.tower, tuple(c // g for c in out), den // g)
+
+
+@pytest.mark.parametrize(
+    "name", ["Q(i)", "Q(i)(r), r^3 = i*r + 1", "Q(a), a^4 + a + 1 = 0"]
+)
+def test_products_with_a_rational_operand_match_the_table_product(name):
+    tower = _inversion_towers()[name]
+    basis = [tower.one()]
+    for j in range(tower.width):
+        basis = [b * tower.gen(j) ** k for k in range(tower._gens[j].degree) for b in basis]
+    rng = random.Random(name)
+    rationals = [0, 1, -1, 2, Fraction(1, 3), Fraction(-7, 4)]
+    rationals += [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) for _ in range(6)]
+    for _ in range(20):
+        x = tower.zero()
+        for b in basis:
+            if rng.random() < 0.7:
+                x = x + b * Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**4))
+        for q in rationals:
+            r = tower.rational(q)
+            want = _table_product(x, r)
+            for got in (x * r, r * x, x * q, q * x):
+                assert got == want
+                assert got.den > 0 and gcd(got.den, *got.num) == 1
+                assert len(got.num) == tower.degree()
 
 
 def test_inverse_over_a_reducible_minimal_polynomial_raises():
