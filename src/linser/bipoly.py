@@ -8,10 +8,12 @@ handful of global operations the blowup machinery needs: gcds and
 resultants, both read off one subresultant PRS, and the one blowup step.
 
 The PRS takes its coefficient ring's product, difference, exact quotient
-and power, so one loop serves UniPoly coefficients over a tower, integer
-lists and integers.  Over QQ, resultants clear the denominators and run
-on lists of integer lists, and UniPoly.gcd runs on primitive integer
-lists; both return what the field arithmetic would.  The blowup step is
+and power, so one loop serves UniPoly coefficients over a tower, tower
+elements, integer lists and integers.  UniPoly.gcd reads every gcd off
+it: over a tower on the coefficients themselves, over QQ on the
+primitive integer multiples, once a test modulo one prime has not
+already proved the inputs coprime.  Over QQ, resultants clear the
+denominators and run on lists of integer lists.  The blowup step is
 taylor_shift, which expands polynomials about a shared center, then
 pullback_blowup, which relabels the expansion's exponents into a chart
 and divides out the exceptional power in the same pass.  A derivative at
@@ -26,10 +28,11 @@ through the private _of constructors instead, which skip that work.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import namedtuple
 from functools import reduce
-from math import comb, factorial, lcm
+from math import comb, factorial, isqrt
 
 from .errors import (
     DivisionByZero,
@@ -42,6 +45,7 @@ from .numfield import (
     FieldElement,
     FieldTower,
     Rational,
+    cleared_row,
     integer_row,
     rational_row,
     render_terms,
@@ -253,12 +257,30 @@ class UniPoly:
         return UniPoly._of(self.tower, self.var, [c * inv for c in self.coeffs])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
+        """The monic gcd, read off the subresultant PRS: over QQ run on the
+        primitive integer multiples, after a coprimality test modulo a
+        prime; over a tower run on the coefficients themselves."""
         a, b = self._pair(other)
-        if a.tower.width == 0:
-            return _rational_gcd(a, b)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        if not a or not b:
+            return (b if not a else a).monic()
+        one = UniPoly.one(a.tower, a.var)
+        if a.is_constant() or b.is_constant():
+            return one
+        if len(a.coeffs) < len(b.coeffs):
+            a, b = b, a
+        if a.tower.width:
+            last, rem, *_ = _subresultant_prs(list(a.coeffs), list(b.coeffs), _FIELD)
+            return one if rem else UniPoly._of(a.tower, a.var, last).monic()
+        pa, pb = integer_row(a.coeffs), integer_row(b.coeffs)
+        # a common factor in Z[x] has a leading coefficient dividing lc(pa),
+        # so it keeps its degree modulo a prime that does not divide lc(pa)
+        p = next(q for q in itertools.count(5) if pa[-1] % q and _is_prime(q))
+        if len(_gf_gcd(pa, pb, p)) == 1:
+            return one
+        last, rem, *_ = _subresultant_prs(pa, pb, _ZZ)
+        if rem:
+            return one
+        return UniPoly._of(a.tower, a.var, rational_row(a.tower, last, last[-1]))
 
     def derivative(self) -> "UniPoly":
         return UniPoly(
@@ -605,22 +627,6 @@ def _powers(base, n: int, one) -> list:
     return out
 
 
-def _rational_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd of two UniPolys over QQ, read off the subresultant PRS of
-    their primitive integer multiples."""
-    if a.is_zero() or b.is_zero():
-        return (b if a.is_zero() else a).monic()
-    if a.is_constant() or b.is_constant():
-        return UniPoly.one(a.tower, a.var)
-    pa, pb = integer_row(a.coeffs), integer_row(b.coeffs)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    last, rem, *_ = _subresultant_prs(pa, pb, _ZZ)
-    if rem:
-        return UniPoly.one(a.tower, a.var)
-    return UniPoly._of(a.tower, a.var, rational_row(a.tower, last, last[-1]))
-
-
 def uni_gcd_list(polys) -> UniPoly:
     """Monic gcd of a nonempty list of UniPoly in one shared variable."""
     polys = list(polys)
@@ -654,10 +660,10 @@ def _integer_main(f: BiPoly, main: str):
     denominators."""
     other = "v" if main == "u" else "u"
     idx = 0 if main == "u" else 1
-    den = lcm(*(c.den for c in f._terms.values()))
+    nums, den = cleared_row(f._terms.values())
     rows = [[0] * (f.degree(other) + 1) for _ in range(f.degree(main) + 1)]
-    for key, c in f._terms.items():
-        rows[key[idx]][key[1 - idx]] = c.num[0] * (den // c.den)
+    for key, x in zip(f._terms, nums):
+        rows[key[idx]][key[1 - idx]] = x
     return [_trim(r) for r in rows], den
 
 
@@ -751,6 +757,25 @@ def _z_exact_div(a, b):
     return _trim(q)
 
 
+def _is_prime(n):
+    if n < 2:
+        return False
+    for d in range(2, isqrt(n) + 1):
+        if n % d == 0:
+            return False
+    return True
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd over F_p."""
+    a = _z_mod(a, p)
+    b = _z_mod(b, p)
+    while b:
+        a, b = b, _z_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
+
+
 def _int_exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
@@ -758,7 +783,7 @@ def _int_exact_div(a: int, b: int) -> int:
     return q
 
 
-# -- one subresultant PRS over three coefficient rings ------------------------
+# -- one subresultant PRS over four coefficient rings -------------------------
 
 # The few operations the PRS takes from its coefficient ring: the unit, then
 # product, difference, exact quotient and power.
@@ -768,6 +793,8 @@ _Ring = namedtuple("_Ring", "one mul sub div pow")
 _ZZ = _Ring(1, operator.mul, operator.sub, _int_exact_div, pow)
 # Z[y], for resultants in Q[y][x] with the denominators cleared
 _ZZ_POLY = _Ring([1], _z_mul, lambda a, b: _z_add(a, b, -1), _z_exact_div, _z_pow)
+# a tower K, for gcds in K[x]; the int unit compares equal to K's
+_FIELD = _Ring(1, operator.mul, operator.sub, operator.truediv, pow)
 
 
 def _unipoly_ring(tower: FieldTower, var: str) -> _Ring:

@@ -302,7 +302,7 @@ def main(argv=None) -> int:
         print("error: --max-depth must be at least 1", file=sys.stderr)
         return 2
     try:
-        payload = args.handler(args)
+        text = _dumps(args.handler(args))
     except (InvalidInput, InvalidExtension) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -312,7 +312,10 @@ def main(argv=None) -> int:
     except LinserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    print(_dumps(payload))
+    except RecursionError:
+        print("error: recursion went past Python's limit", file=sys.stderr)
+        return 4
+    print(text)
     return 0
 
 

@@ -7,10 +7,10 @@ Mignotte bound, then recombine subsets by trial division, after a test on
 their constant terms.  Over a tower K = L(a), Trager's norm is taken
 relative to the top generator: a shifted norm, squarefree over the
 subtower L, is factored over L by the same method one level down, and
-each of its factors pulls back to a factor over K by a gcd.  When L is
-QQ, the shifted polynomial is summed on integers, and a norm coprime to
-its derivative modulo a prime is squarefree without an exact gcd.  The
-dense integer helpers (_z_*) are bipoly's.
+each of its factors pulls back to a factor over K by a gcd.  The shifted
+polynomial is summed by the binomial expansion over every L, and the
+norm is squarefree when its gcd with its derivative is 1.  The dense
+integer helpers (_z_*, _gf_gcd) are bipoly's.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import random
 from .bipoly import (
     BiPoly,
     UniPoly,
+    _gf_gcd,
+    _is_prime,
     _trim,
     _z_add,
     _z_divmod,
@@ -42,16 +44,6 @@ def _balanced(a, m):
 
 
 # -- dense polynomials over a prime field --------------------------------------
-
-
-def _gf_gcd(a, b, p):
-    """Monic gcd over F_p."""
-    a = _z_mod(a, p)
-    b = _z_mod(b, p)
-    while b:
-        a, b = b, _z_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p) if a else 0
-    return [c * inv % p for c in a]
 
 
 def _gf_ext_gcd(a, b, p):
@@ -82,15 +74,6 @@ def _gf_pow_mod(base, e, mod, p):
 
 
 # -- primes ---------------------------------------------------------------------
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def _choose_prime(g):
@@ -332,7 +315,7 @@ def _factor_tower_squarefree(f: UniPoly):
     top = tower.gen(tower.width - 1)
     for s in itertools.islice(_shifts(), _SHIFT_LIMIT):
         norm = _norm(fhat, mv, s).monic()
-        if not _is_squarefree(norm):
+        if norm.gcd(norm.derivative()).degree() > 0:
             continue
         nfacs = _factor_squarefree(norm)
         if len(nfacs) == 1:
@@ -350,43 +333,16 @@ def _factor_tower_squarefree(f: UniPoly):
 
 
 def _norm(fhat: BiPoly, mv: BiPoly, s: int) -> UniPoly:
-    """Res_v(mv, fhat(u - s*v, v)), Trager's norm at shift s.
-
-    Over QQ the substitution is summed on integers over one denominator,
-    by the binomial expansion of (u - s*v)^k."""
-    sub = fhat.tower
-    if sub.width:
-        u = BiPoly.variable(sub, "u")
-        v = BiPoly.variable(sub, "v")
-        return resultant(mv, fhat.subs_polys(u - s * v, v), "v")
-    terms = fhat.terms()
-    den = math.lcm(*(c.den for c in terms.values()))
+    """Res_v(mv, fhat(u - s*v, v)), Trager's norm at shift s, with the
+    substitution summed by the binomial expansion of (u - s*v)^k."""
     acc = {}
-    for (k, i), c in terms.items():
-        x = c.num[0] * (den // c.den)
+    for (k, i), c in fhat.terms().items():
         for j in range(k + 1):
-            key = (j, i + k - j)
-            acc[key] = acc.get(key, 0) + x * math.comb(k, j) * (-s) ** (k - j)
-    shifted = BiPoly(sub, {key: Rational(x, den) for key, x in acc.items()})
-    return resultant(mv, shifted, "v")
-
-
-def _is_squarefree(norm: UniPoly) -> bool:
-    """Whether a monic norm is squarefree.
-
-    Over QQ it is when, modulo the first prime from 5 up that divides no
-    denominator, it keeps its degree and is coprime to its derivative:
-    its monic factors over QQ are integral at that prime, so a square
-    factor would survive the reduction.  Otherwise the exact gcd decides.
-    """
-    if norm.tower.width == 0:
-        dens = math.lcm(*(c.den for c in norm.coeffs))
-        p = next(q for q in itertools.count(5) if dens % q and _is_prime(q))
-        reduced = [c.num[0] * pow(c.den, -1, p) % p for c in norm.coeffs]
-        deriv = [k * c for k, c in enumerate(reduced)][1:]
-        if reduced[-1] and len(_gf_gcd(reduced, deriv, p)) == 1:
-            return True
-    return norm.gcd(norm.derivative()).degree() == 0
+            m = math.comb(k, j) * (-s) ** (k - j)
+            if m:
+                key = (j, i + k - j)
+                acc[key] = acc[key] + c * m if key in acc else c * m
+    return resultant(mv, BiPoly(fhat.tower, acc), "v")
 
 
 def squarefree_decomposition(f: UniPoly):

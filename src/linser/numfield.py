@@ -233,11 +233,17 @@ def _sum(x: "FieldElement", y: "FieldElement", op) -> "FieldElement":
     return _normal(x.tower, [op(p * ma, q * mb) for p, q in zip(a, b)], da * ma)
 
 
+def cleared_row(row) -> tuple[list[int], int]:
+    """(nums, den) for a row of rational elements: den the lcm of their
+    denominators and row[j] = nums[j] / den."""
+    den = lcm(*(x.den for x in row))
+    return [x.num[0] * (den // x.den) for x in row], den
+
+
 def integer_row(row) -> list[int]:
     """The primitive integer row proportional to a row of rational elements:
     denominators cleared and the content divided out."""
-    den = lcm(*(x.den for x in row))
-    out = [x.num[0] * (den // x.den) for x in row]
+    out = cleared_row(row)[0]
     g = gcd(*out)
     return out if g < 2 else [x // g for x in out]
 

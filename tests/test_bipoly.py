@@ -511,20 +511,34 @@ def _euclid_gcd(a, b):
 
 
 def test_rational_gcd_matches_field_euclid():
-    rng = random.Random(31)
-    zero = UniPoly.zero(QQ, "t")
-    three = UniPoly.constant(QQ, "t", 3)
-    pairs = [(zero, zero), (zero, three), (three, zero), (three, three)]
-    for _ in range(60):
-        common = _random_unipoly(rng, QQ, max_deg=3)
-        a, b = _random_unipoly(rng, QQ), _random_unipoly(rng, QQ)
-        # coprime or not, with repeated factors, and zero among the inputs
-        pairs += [(a, b), (b, zero), (a * common**2, b * common), (common**3, common**2 * a)]
-    coprime = repeated = 0
-    for a, b in pairs:
-        ours = a.gcd(b)
-        assert ours == _euclid_gcd(a, b) == _euclid_gcd(b, a) == b.gcd(a)
-        _assert_well_formed(ours)
-        coprime += ours.degree() == 0
-        repeated += ours.degree() >= 2 and not ours.gcd(ours.derivative()).is_constant()
-    assert coprime >= 40 and repeated >= 20
+    # over QQ, Q(sqrt 2) and Q(i)(r) with r^3 = i*r + 1
+    root2_field, _, root2 = extend_field(QQ, [-2, 0, 1], "s")
+    gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    cubic, _, r = extend_field(gaussian, [-1, -i, 0, 1], "r")
+    mixed = r + i.embed(cubic) * r**2
+    cases = [(QQ, None, 31, 60), (root2_field, root2, 32, 20), (cubic, mixed, 33, 10)]
+    for tower, gen, seed, rounds in cases:
+        rng = random.Random(seed)
+        zero = UniPoly.zero(tower, "t")
+        three = UniPoly.constant(tower, "t", 3)
+        pairs = [(zero, zero), (zero, three), (three, zero), (three, three)]
+        for _ in range(rounds):
+            common = _random_unipoly(rng, tower, gen, max_deg=3)
+            a, b = _random_unipoly(rng, tower, gen), _random_unipoly(rng, tower, gen)
+            # coprime or not, with repeated factors, and zero among the inputs
+            pairs += [(a, b), (b, zero), (a * common**2, b * common), (common**3, common**2 * a)]
+        # degrees 14 and 11 with a common factor of degree 4, and a coprime pair
+        monic = [
+            UniPoly(tower, "t", [_random_coeff(rng, tower, gen) for _ in range(d)] + [1])
+            for d in (4, 6, 7)
+        ]
+        pairs += [(monic[1] * monic[0]**2, monic[2] * monic[0]), (monic[1], monic[2])]
+        coprime = repeated = 0
+        for a, b in pairs:
+            ours = a.gcd(b)
+            assert ours == _euclid_gcd(a, b) == _euclid_gcd(b, a) == b.gcd(a)
+            _assert_well_formed(ours)
+            coprime += ours.degree() == 0
+            repeated += ours.degree() >= 2 and not ours.gcd(ours.derivative()).is_constant()
+        assert pairs[-2][0].degree() >= 10 and pairs[-2][0].gcd(pairs[-2][1]) == monic[0]
+        assert coprime >= 2 * rounds // 3 and repeated >= rounds // 3

@@ -289,6 +289,17 @@ def test_exit_4_on_depth_limit_of_high_power_chain():
     assert b"Traceback" not in out.stderr
 
 
+def test_exit_4_when_a_raised_depth_limit_meets_the_recursion_limit():
+    # a 300-point chain under --max-depth 5000 nests past the interpreter's
+    # recursion limit before the depth bound trips
+    doc = {"series": ["v", "u^300"]}
+    out = run("basepoints", "-", "--max-depth", "5000", stdin=json.dumps(doc).encode(),
+              timeout=60)
+    assert out.returncode == 4
+    assert out.stdout == b""
+    assert out.stderr.count(b"\n") == 1 and b"Traceback" not in out.stderr
+
+
 def test_exit_4_on_exponent_past_the_bound():
     assert parse_bipoly(f"u^{MAX_EXPONENT}", QQ).degree() == MAX_EXPONENT
     for power in (MAX_EXPONENT + 1, 100000000):

@@ -8,7 +8,7 @@ import pytest
 
 from linser.bipoly import BiPoly, UniPoly, resultant
 from linser.errors import InvalidInput
-from linser import factorize
+from linser import bipoly, factorize
 from linser.factorize import (
     adjoin_roots,
     factor_univariate,
@@ -545,25 +545,37 @@ def test_norm_on_integers_matches_the_substituted_resultant(minpoly):
 
 
 def test_squarefree_test_modulo_a_prime_falls_back_to_the_exact_gcd(monkeypatch):
-    gcds = []
-    real = UniPoly.gcd
+    prs_calls, primes = [], []
+    real_prs, real_gf_gcd = bipoly._subresultant_prs, bipoly._gf_gcd
 
-    def spied(a, b):
-        gcds.append(a)
-        return real(a, b)
+    def spied_prs(a, b, ring):
+        prs_calls.append(a)
+        return real_prs(a, b, ring)
 
-    monkeypatch.setattr(UniPoly, "gcd", spied)
-    # squarefree modulo 5, the first prime tried: no exact gcd
-    assert factorize._is_squarefree(up("t^4 - 3")) and gcds == []
-    # 2 divides a denominator, so 5 is tried
-    assert factorize._is_squarefree(up("t^2 - 1/2")) and gcds == []
-    # t^4 - 5 is t^4 modulo 5, but squarefree over QQ
-    assert factorize._gf_gcd([0, 0, 0, 0, 1], [0, 0, 0, 4], 5) == [0, 0, 0, 1]
-    assert factorize._is_squarefree(up("t^4 - 5")) and len(gcds) == 1
-    # 5 divides a denominator, so 7 is tried, where t^2 - 7/5 is t^2
-    assert factorize._is_squarefree(up("t^2 - 7/5")) and len(gcds) == 2
-    assert not factorize._is_squarefree(up("(t^2 - 2)^2"))
-    assert not factorize._is_squarefree(up("(t - 1/3)^2 * (t + 1)"))
+    def spied_gf_gcd(a, b, p):
+        primes.append(p)
+        return real_gf_gcd(a, b, p)
+
+    monkeypatch.setattr(bipoly, "_subresultant_prs", spied_prs)
+    monkeypatch.setattr(bipoly, "_gf_gcd", spied_gf_gcd)
+
+    def squarefree(text):
+        f = up(text)
+        return f.gcd(f.derivative()).degree() == 0
+
+    # coprime to its derivative modulo 5, the first prime tried: no PRS
+    assert squarefree("t^4 - 3") and prs_calls == [] and primes == [5]
+    # 2 divides the primitive leading coefficient of 2*t^2 - 1, not 5
+    assert squarefree("t^2 - 1/2") and prs_calls == [] and primes == [5, 5]
+    # t^4 - 5 is t^4 modulo 5, but squarefree over QQ: the PRS decides
+    assert real_gf_gcd([0, 0, 0, 0, 1], [0, 0, 0, 4], 5) == [0, 0, 0, 1]
+    assert squarefree("t^4 - 5") and len(prs_calls) == 1
+    # 5 divides the primitive leading coefficient of 5*t^2 - 7, so 7 is
+    # tried, where it is t^2
+    primes.clear()
+    assert squarefree("t^2 - 7/5") and primes == [7] and len(prs_calls) == 2
+    assert not squarefree("(t^2 - 2)^2")
+    assert not squarefree("(t - 1/3)^2 * (t + 1)")
 
 
 def test_shift_zero_kept_when_the_norm_is_squarefree_only_over_qq(monkeypatch):
