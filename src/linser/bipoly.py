@@ -2,14 +2,18 @@
 
 BiPoly is a sparse bivariate polynomial with FieldElement coefficients,
 and UniPoly a dense univariate one, for coefficient arithmetic,
-factoring and root work.  The _z_ helpers are dense integer polynomials,
-over Z or mod m, shared with factorize.  The module also provides the
-handful of global operations the blowup machinery needs: gcds and
-resultants, both read off one subresultant PRS, and the one blowup step.
+factoring and root work.  Every dense polynomial is a list, low degree
+first, of ints (over Z or mod m), of tower elements, or of such lists,
+and the _z_ helpers are its one kernel: one product, one sum and one
+long division, which UniPoly, factorize's integer work and the
+bivariate PRS all run on.  The module also provides the handful of
+global operations the blowup machinery needs: gcds and resultants, both
+read off one subresultant PRS, and the one blowup step.
 
-The PRS takes its coefficient ring's product, difference, exact quotient
-and power, so one loop serves UniPoly coefficients over a tower, tower
-elements, integer lists and integers.  UniPoly.gcd reads every gcd off
+The PRS takes its coefficient ring's product, difference, quotient and
+power, so one loop serves tower elements, lists over a tower, integer
+lists and integers; a step divides its whole remainder through one
+inverse or one leading coefficient.  UniPoly.gcd reads every gcd off
 it: over a tower on the coefficients themselves, over QQ on the
 primitive integer multiples, once a test modulo one prime has not
 already proved the inputs coprime.  Over QQ, resultants clear the
@@ -22,8 +26,8 @@ a point is a coefficient of the shift times factorials.
 The constructors validate and coerce every coefficient.  Results whose
 coefficients are already nonzero elements of the result's tower (the
 shift, the pullback, embeddings, and UniPoly sums, products and
-quotients) are built
-through the private _of constructors instead, which skip that work.
+quotients) are built through the private _of constructors instead,
+which skip that work.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .errors import (
     NotDivisible,
 )
 from .numfield import (
-    QQ,
     FieldElement,
     FieldTower,
     Rational,
@@ -174,13 +177,12 @@ class UniPoly:
             return self, other
         return self.embed(other.tower), other
 
-    def _termwise(self, other, op):
+    def _plus(self, other, sign):
         a, b = self._pair(other)
-        n = max(len(a.coeffs), len(b.coeffs))
-        return UniPoly._of(a.tower, a.var, [op(a.coeff(k), b.coeff(k)) for k in range(n)])
+        return UniPoly._of(a.tower, a.var, _z_add(a.coeffs, b.coeffs, sign))
 
     def __add__(self, other):
-        return self._termwise(other, operator.add)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -188,55 +190,29 @@ class UniPoly:
         return UniPoly._of(self.tower, self.var, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self._termwise(other, operator.sub)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        if a.is_zero() or b.is_zero():
-            return UniPoly.zero(a.tower, a.var)
-        out = [a.tower.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-        nonzero_b = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
-        for i, ca in enumerate(a.coeffs):
-            if ca.is_zero():
-                continue
-            for j, cb in nonzero_b:
-                out[i + j] = out[i + j] + ca * cb
-        return UniPoly._of(a.tower, a.var, out)
+        return UniPoly._of(a.tower, a.var, _z_mul(a.coeffs, b.coeffs, None, a.tower.zero()))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniPoly":
         if not isinstance(n, int) or n < 0:
             raise InvalidInput("polynomial powers must be nonnegative integers")
-        result = UniPoly.one(self.tower, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        t = self.tower
+        return UniPoly._of(t, self.var, _z_pow(self.coeffs, n, t.one(), t.zero()))
 
     def divmod(self, other: "UniPoly"):
         a, b = self._pair(other)
         if b.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        q = [a.tower.zero()] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
-        rem = list(a.coeffs)
-        inv_lc = b.lc().inverse()
-        db = b.degree()
-        while len(rem) - 1 >= db and rem:
-            shift = len(rem) - 1 - db
-            factor = rem[-1] * inv_lc
-            q[shift] = factor
-            for k in range(db + 1):
-                rem[shift + k] = rem[shift + k] - factor * b.coeffs[k]
-            _trim(rem)
-        return UniPoly._of(a.tower, a.var, q), UniPoly._of(a.tower, a.var, rem)
+        q, r = _divmod(a.coeffs, b.coeffs, _field_quo(b.lc()))
+        return UniPoly._of(a.tower, a.var, q), UniPoly._of(a.tower, a.var, r)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -546,26 +522,8 @@ class BiPoly:
         if a.is_zero():
             return a
         main = "u" if b.degree("u") > 0 else "v"
-        other_var = "v" if main == "u" else "u"
-        da = _dense_main(a, main)
         db = _dense_main(b, main)
-        if len(da) < len(db):
-            raise NotDivisible("divisor degree exceeds dividend degree")
-        lead = db[-1]
-        q = [UniPoly.zero(a.tower, other_var)] * (len(da) - len(db) + 1)
-        rem = list(da)
-        while len(rem) >= len(db):
-            if rem[-1].is_zero():
-                rem.pop()
-                continue
-            k = len(rem) - len(db)
-            f = rem[-1].exact_div(lead)
-            q[k] = f
-            for i in range(len(db)):
-                rem[k + i] = rem[k + i] - f * db[i]
-            rem.pop()
-        if any(not r.is_zero() for r in rem):
-            raise NotDivisible("bivariate division left a remainder")
+        q = _exact_div(_dense_main(a, main), db, _K_POLY.quo(db[-1]), _K_POLY)
         return _from_dense(q, main, a.tower)
 
     def as_unipoly(self, var: str) -> UniPoly:
@@ -640,38 +598,34 @@ def uni_gcd_list(polys) -> UniPoly:
     return g.monic()
 
 
-def _dense_main(f: BiPoly, main: str):
-    """Coefficient list of f in the main variable, entries UniPoly in the other."""
-    other = "v" if main == "u" else "u"
+def _dense_main(f: BiPoly, main: str, values=None, zero=None):
+    """Coefficient list of f in the main variable, entries lists in the other.
+
+    The entries are f's coefficients, or ``values`` taken in f's term order
+    with ``zero`` their zero.
+    """
     idx = 0 if main == "u" else 1
-    n = f.degree(main)
-    m = f.degree(other)
-    rows = [[f.tower.zero()] * (m + 1) for _ in range(n + 1)]
-    for (du, dv), c in f._terms.items():
-        e = (du, dv)[idx]
-        k = (du, dv)[1 - idx]
-        rows[e][k] = c
-    return [UniPoly(f.tower, other, r) for r in rows]
+    if values is None:
+        values, zero = f._terms.values(), f.tower.zero()
+    rows = [[zero] * (f.degree(VARS[1 - idx]) + 1) for _ in range(f.degree(main) + 1)]
+    for key, x in zip(f._terms, values):
+        rows[key[idx]][key[1 - idx]] = x
+    return [_trim(r) for r in rows]
 
 
 def _integer_main(f: BiPoly, main: str):
     """(rows, den) for f over QQ: the coefficient list of den * f in the main
     variable, entries integer lists in the other, den the lcm of f's
     denominators."""
-    other = "v" if main == "u" else "u"
-    idx = 0 if main == "u" else 1
     nums, den = cleared_row(f._terms.values())
-    rows = [[0] * (f.degree(other) + 1) for _ in range(f.degree(main) + 1)]
-    for key, x in zip(f._terms, nums):
-        rows[key[idx]][key[1 - idx]] = x
-    return [_trim(r) for r in rows], den
+    return _dense_main(f, main, nums, 0), den
 
 
 def _from_dense(coeffs, main: str, tower: FieldTower) -> BiPoly:
     idx = 0 if main == "u" else 1
     out = {}
     for e, p in enumerate(coeffs):
-        for k, c in enumerate(p.coeffs):
+        for k, c in enumerate(p):
             key = (e, k) if idx == 0 else (k, e)
             out[key] = c
     return BiPoly(tower, out)
@@ -684,77 +638,89 @@ def _trim(cs):
     return cs
 
 
-# -- dense integer polynomials (lists, low degree first), over Z or mod m -----
+# -- dense polynomials: lists, low degree first, of ints (over Z or mod m), of
+# tower elements, or of such lists ------------------------------------------
 
 
 def _z_mod(a, m):
     return _trim([c % m for c in a])
 
 
-def _z_mul(a, b, m=None):
+def _z_mul(a, b, m=None, zero=0):
+    """a * b, reduced mod m if given; zero is the entries' zero."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            for k, cb in enumerate(b, i):
+                out[k] += ca * cb
     return _trim(out) if m is None else _z_mod(out, m)
 
 
 def _z_add(a, b, sign=1):
-    """a + sign*b."""
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += sign * c
+    """a + sign*b, for sign 1 or -1."""
+    out = list(map(operator.add if sign > 0 else operator.sub, a, b))
+    if len(a) > len(b):
+        out += a[len(b):]
+    else:
+        out += b[len(a):] if sign > 0 else [-c for c in b[len(a):]]
     return _trim(out)
 
 
-def _z_pow(a, n):
-    out = [1]
-    for _ in range(n):
-        out = _z_mul(out, a)
+def _z_pow(a, n, one=1, zero=0):
+    """a^n by repeated squaring, for the entries' one and zero."""
+    out, base = [one], a
+    while n:
+        if n & 1:
+            out = _z_mul(out, base, None, zero)
+        n >>= 1
+        if n:
+            base = _z_mul(base, base, None, zero)
     return out
+
+
+def _divmod(a, b, quo, ring=None):
+    """Quotient and remainder of a by b, b trimmed and nonzero: the one long
+    division.
+
+    quo(c) is the quotient of a nonzero entry c by lc(b): a product with
+    one inverse, or an exact quotient that raises NotDivisible.  Entries
+    are numbers, or lists that ``ring`` multiplies and subtracts.  Mod m,
+    quo reduces the quotient and the caller the remainder.
+    """
+    r = list(a)
+    low = b[:-1]
+    q = [None] * max(len(r) - len(low), 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        if c:
+            c = quo(c)
+            if ring is None:
+                for i, bc in enumerate(low, k):
+                    r[i] -= c * bc
+            else:
+                for i, bc in enumerate(low, k):
+                    r[i] = ring.sub(r[i], ring.mul(c, bc))
+        q[k] = c
+    return _trim(q), _trim(r)
+
+
+def _exact_div(a, b, quo, ring=None):
+    """a / b by _divmod; raises NotDivisible unless b divides a."""
+    q, r = _divmod(a, b, quo, ring)
+    if r:
+        raise NotDivisible("polynomial division left a remainder")
+    return q
 
 
 def _z_divmod(a, b, m=None):
     """Quotient and remainder: over Z b must be monic; mod m, lc(b) a unit."""
-    r = _trim(list(a)) if m is None else _z_mod(a, m)
-    inv = 1 if m is None else pow(b[-1], -1, m)
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        f = r[-1] if inv == 1 else r[-1] * inv % m
-        k = len(r) - len(b)
-        q[k] = f
-        if m is None:
-            for i, bc in enumerate(b):
-                r[k + i] -= f * bc
-        else:
-            for i, bc in enumerate(b):
-                r[k + i] = (r[k + i] - f * bc) % m
-        _trim(r)
-    return _trim(q), r
-
-
-def _z_exact_div(a, b):
-    """a / b over Z for any nonzero b; raises NotDivisible unless b divides a."""
-    r = list(a)
-    lead = b[-1]
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        f, x = divmod(r[-1], lead)
-        if x:
-            break
-        k = len(r) - len(b)
-        q[k] = f
-        for i, bc in enumerate(b):
-            r[k + i] -= f * bc
-        _trim(r)
-    if r:
-        raise NotDivisible("integer polynomial division left a remainder")
-    return _trim(q)
+    if m is None:
+        return _divmod(a, b, operator.pos)
+    inv = pow(b[-1], -1, m)
+    q, r = _divmod(a, b, lambda c: c * inv % m)
+    return q, _z_mod(r, m)
 
 
 def _is_prime(n):
@@ -776,32 +742,60 @@ def _gf_gcd(a, b, p):
     return [c * inv % p for c in a]
 
 
-def _int_exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise NotDivisible("integer division left a remainder")
-    return q
-
-
 # -- one subresultant PRS over four coefficient rings -------------------------
 
 # The few operations the PRS takes from its coefficient ring: the unit, then
-# product, difference, exact quotient and power.
-_Ring = namedtuple("_Ring", "one mul sub div pow")
+# product, difference, quotient and power.  quo(d) is the function dividing
+# by d, so that a whole list is divided by one inverse or one leading entry.
+_Ring = namedtuple("_Ring", "one mul sub quo pow")
+
+
+def _int_quo(d):
+    def quo(c):
+        q, r = divmod(c, d)
+        if r:
+            raise NotDivisible("integer division left a remainder")
+        return q
+
+    return quo
+
+
+def _field_quo(d):
+    return d.inverse().__mul__
+
+
+def _list_quo(entry_quo):
+    """quo for lists whose entries divide by entry_quo: exact division."""
+
+    def quo(d):
+        lead = entry_quo(d[-1])
+        return lambda c: _exact_div(c, d, lead)
+
+    return quo
+
+
+def _k_mul(a, b):
+    return _z_mul(a, b, None, a[-1].tower.zero()) if a and b else []
+
+
+def _k_pow(a, n):
+    t = a[-1].tower
+    return _z_pow(a, n, t.one(), t.zero())
+
+
+def _z_sub(a, b):
+    return _z_add(a, b, -1)
+
 
 # Z, for gcds in Q[x] run on primitive integer lists
-_ZZ = _Ring(1, operator.mul, operator.sub, _int_exact_div, pow)
+_ZZ = _Ring(1, operator.mul, operator.sub, _int_quo, pow)
 # Z[y], for resultants in Q[y][x] with the denominators cleared
-_ZZ_POLY = _Ring([1], _z_mul, lambda a, b: _z_add(a, b, -1), _z_exact_div, _z_pow)
+_ZZ_POLY = _Ring([1], _z_mul, _z_sub, _list_quo(_int_quo), _z_pow)
 # a tower K, for gcds in K[x]; the int unit compares equal to K's
-_FIELD = _Ring(1, operator.mul, operator.sub, operator.truediv, pow)
-
-
-def _unipoly_ring(tower: FieldTower, var: str) -> _Ring:
-    """K[var] for a tower K, as UniPoly coefficients."""
-    return _Ring(
-        UniPoly.one(tower, var), operator.mul, operator.sub, UniPoly.exact_div, operator.pow
-    )
+_FIELD = _Ring(1, operator.mul, operator.sub, _field_quo, pow)
+# K[y] as lists, for the bivariate PRS over K; its products need the
+# tower's zero, so each PRS sets the unit to [K's one]
+_K_POLY = _Ring(None, _k_mul, _z_sub, _list_quo(_field_quo), _k_pow)
 
 
 def _prem(a, b, ring):
@@ -829,13 +823,13 @@ def _prem(a, b, ring):
 
 
 def _primitive(coeffs, tower, other):
-    """Split a dense coefficient list into (content UniPoly, primitive list)."""
-    cont = uni_gcd_list([c for c in coeffs if not c.is_zero()])
+    """Split a dense list over K[other] into its content, a UniPoly, and
+    the primitive part."""
+    cont = uni_gcd_list([UniPoly._of(tower, other, c) for c in coeffs if c])
     if cont.is_constant():
-        return UniPoly.one(tower, other), list(coeffs)
-    return cont, [
-        c.exact_div(cont) if not c.is_zero() else c for c in coeffs
-    ]
+        return cont, coeffs
+    quo = _K_POLY.quo(list(cont.coeffs))
+    return cont, [quo(c) for c in coeffs]
 
 
 def _subresultant_prs(a, b, ring):
@@ -858,7 +852,8 @@ def _subresultant_prs(a, b, ring):
             return b, rem, g, h, delta, sign
         divisor = ring.mul(g, ring.pow(h, delta))
         if divisor != ring.one:
-            rem = [ring.div(c, divisor) for c in rem]
+            quo = ring.quo(divisor)
+            rem = [quo(c) for c in rem]
         a, b = b, rem
         g = a[-1]
         h = _next_h(h, g, delta, ring)
@@ -870,7 +865,9 @@ def _next_h(h, g, delta, ring):
         return h
     if delta == 1:
         return g
-    return ring.div(ring.pow(g, delta), ring.pow(h, delta - 1))
+    if h == ring.one:
+        return ring.pow(g, delta)
+    return ring.quo(ring.pow(h, delta - 1))(ring.pow(g, delta))
 
 
 def _gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
@@ -880,12 +877,10 @@ def _gcd2(f: BiPoly, g: BiPoly) -> BiPoly:
     else:
         main = "u"
     other = "v" if main == "u" else "u"
-    da = _dense_main(f, main)
-    db = _dense_main(g, main)
-    cont_a, pa = _primitive(da, t, other)
-    cont_b, pb = _primitive(db, t, other)
+    cont_a, pa = _primitive(_dense_main(f, main), t, other)
+    cont_b, pb = _primitive(_dense_main(g, main), t, other)
     cont = cont_a.gcd(cont_b)
-    ring = _unipoly_ring(t, other)
+    ring = _K_POLY._replace(one=[t.one()])
     pg = [ring.one]
     if len(pa) > 1 and len(pb) > 1:
         if len(pa) < len(pb):
@@ -951,7 +946,7 @@ def resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
         ring = _ZZ_POLY
     else:
         a, b = _dense_main(g, eliminate), _dense_main(f, eliminate)
-        ring = _unipoly_ring(t, other)
+        ring = _K_POLY._replace(one=[t.one()])
     # Res(g, f) = (-1)^(nm) Res(f, g); the PRS wants the larger degree first
     swap = 1
     if m < n:
@@ -961,13 +956,13 @@ def resultant(f: BiPoly, g: BiPoly, eliminate: str) -> UniPoly:
     if not rem:
         return UniPoly.zero(t, other)
     # the one constant step the loop leaves undone
-    rem = ring.div(rem[0], ring.mul(g_prs, ring.pow(h, delta)))
+    rem = ring.quo(ring.mul(g_prs, ring.pow(h, delta)))(rem[0])
     h = _next_h(h, last[-1], delta, ring)
     d = len(last) - 1
-    res = ring.div(ring.pow(rem, d), ring.pow(h, d - 1))
+    res = ring.quo(ring.pow(h, d - 1))(ring.pow(rem, d))
     if t.width == 0:
         return UniPoly._of(t, other, rational_row(t, res, sign * swap * cg**n * cf**m))
-    return res if sign * swap > 0 else -res
+    return UniPoly._of(t, other, res if sign * swap > 0 else [-c for c in res])
 
 
 def taylor_shift(polys, point, order: int | None = None):

@@ -260,38 +260,24 @@ def complete_series(F: LinearSeries, spec) -> LinearSeries:
     return series_through(tree, monomial_basis(spec))
 
 
-def _strip_step(node: BasepointNode, idx: int) -> BasepointNode:
-    seq = node.sequence[:idx] + node.sequence[idx + 1:]
+def _decrement(node: BasepointNode):
+    """Lower the multiplicity by one.
+
+    A node that reaches zero stays, at multiplicity 0, while one of its
+    descendants is still positive, so that their conditions stay where
+    they are; otherwise it is dropped (None).
+    """
+    children_t = tuple(filter(None, map(_decrement, node.children_t)))
+    children_s = tuple(filter(None, map(_decrement, node.children_s)))
+    if node.mult <= 1 and not children_t and not children_s:
+        return None
     return BasepointNode(
-        seq,
-        node.point,
-        node.mult,
-        tuple(_strip_step(c, idx) for c in node.children_t),
-        tuple(_strip_step(c, idx) for c in node.children_s),
+        node.sequence, node.point, max(node.mult - 1, 0), children_t, children_s
     )
 
 
-def _decrement(node: BasepointNode):
-    """Lower the multiplicity by one, dissolving nodes that reach zero.
-
-    A dissolved node's surviving children are re-rooted in its place,
-    with its blowup step removed from their sequences.
-    """
-    children_t = [n for c in node.children_t for n in _decrement(c)]
-    children_s = [n for c in node.children_s for n in _decrement(c)]
-    if node.mult - 1 >= 1:
-        return [
-            BasepointNode(
-                node.sequence, node.point, node.mult - 1, children_t, children_s
-            )
-        ]
-    idx = len(node.sequence)
-    return [_strip_step(c, idx) for c in children_t + children_s]
-
-
 def decremented_tree(tree: BasepointTree) -> BasepointTree:
-    roots = [n for r in tree.roots for n in _decrement(r)]
-    return BasepointTree(tuple(roots), tree.tower)
+    return BasepointTree(tuple(filter(None, map(_decrement, tree.roots))), tree.tower)
 
 
 def adjoint_series(F: LinearSeries, spec) -> LinearSeries:

@@ -282,10 +282,12 @@ def _check_factor_round_trip(cases):
 
 def _check_gcd_divides_all(cases):
     rng = random.Random(1002)
-    gauss, _, _ = gaussian()
+    gauss, _, i = gaussian()
+    # Q(i)(r) with r^3 = i*r + 1, so the content split runs two levels up
+    cubic, _, _ = extend_field(gauss, [-1, -i, 0, 1], "r")
     done = 0
     while done < cases:
-        tower = gauss if done % 5 == 0 else QQ
+        tower = {0: gauss, 1: cubic}.get(done % 5, QQ)
         F = [_random_bipoly(rng, tower, 3, 4) for _ in range(rng.randint(2, 3))]
         if done % 2 == 0:
             h = _random_bipoly(rng, tower, 2, 2)

@@ -254,14 +254,19 @@ def _prs_pair(rng, tower, gen, var, dg, dq, dr):
 def test_resultant_matches_cofactor_oracle():
     rng = random.Random(20260816)
     tower, _, s = extend_field(QQ, [-2, 0, 1], "s")
+    # Q(i)(r) with r^3 = i*r + 1: K[y] lists two levels up
+    gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    cubic, _, r = extend_field(gaussian, [-1, -i, 0, 1], "r")
     pairs = []
-    for field, gen in ((QQ, None), (tower, s)):
+    for field, gen in ((QQ, None), (tower, s), (cubic, r + i.embed(cubic) * r**2)):
         for _ in range(20):
             pairs.append((_random_bipoly(rng, field, gen=gen), _random_bipoly(rng, field, gen=gen)))
         for var in ("u", "v"):
             # PRS degrees 3, 3, 1 (a drop of two) and 3, 3, 2, 0 (a drop of two at the end)
             pairs += [_prs_pair(rng, field, gen, var, 3, 0, 1) for _ in range(2)]
             pairs += [_prs_pair(rng, field, gen, var, 3, 0, 2) for _ in range(2)]
+            # 4, 2, 1: the first step drops two degrees while the scale is 1
+            pairs += [_prs_pair(rng, field, gen, var, 2, 2, 1) for _ in range(2)]
     checked = swapped = 0
     for f, g in pairs:
         for var in ("u", "v"):
@@ -270,7 +275,7 @@ def test_resultant_matches_cofactor_oracle():
             assert resultant(f, g, var) == sylvester_oracle(f, g, var)
             checked += 1
             swapped += f.degree(var) < g.degree(var)
-    assert checked >= 60 and swapped >= 10
+    assert checked >= 120 and swapped >= 15
 
 
 # A second oracle where sympy is installed.  Ours is Res(g, f) in the usual

@@ -264,6 +264,13 @@ def test_decremented_tree():
     assert decremented_tree(tree).is_empty()
     scaled = tree.with_multiplicities([3, 2, 1, 1])
     assert decremented_tree(scaled).multiplicities() == [2, 1]
+    # a root at (1, 1) with a chart-s child at the origin: the root reaches
+    # zero but keeps its place, so the child's one condition stays at (1, 1)
+    chain = get_basepoints([bp("v - 1 - (u-1)^2"), bp("v - 1")]).with_multiplicities([1, 2])
+    decr = decremented_tree(chain)
+    assert decr.multiplicities() == [0, 1]
+    lines = series_through(decr, monomial_basis(TotalDegree(1)))
+    assert spans_equal(lines, series(("u - 1", "v - 1")))
 
 
 def test_quintic_tree_shape():
