@@ -394,15 +394,22 @@ def _node_from_json(data, parse, parent_seq, parent_point, chart, depth, max_dep
     for key in ("children_t", "children_s"):
         if not isinstance(data[key], list):
             raise InvalidInput(f"{key} must be a list")
-    children_t = tuple(
-        _node_from_json(c, parse, seq, point, "t", depth + 1, max_depth)
-        for c in data["children_t"]
-    )
-    children_s = tuple(
-        _node_from_json(c, parse, seq, point, "s", depth + 1, max_depth)
-        for c in data["children_s"]
+    children_t, children_s = (
+        _distinct(
+            [_node_from_json(c, parse, seq, point, ch, depth + 1, max_depth)
+             for c in data["children_" + ch]],
+            f"children_{ch} of one node",
+        )
+        for ch in ("t", "s")
     )
     return BasepointNode(seq, point, mult, children_t, children_s)
+
+
+def _distinct(nodes: list, where: str) -> tuple:
+    """The nodes as a tuple, once no two of them lie at one point."""
+    if len({n.point for n in nodes}) < len(nodes):
+        raise InvalidInput(f"two {where} lie at the same point")
+    return tuple(nodes)
 
 
 def tree_from_json(data, max_depth: int = DEFAULT_MAX_DEPTH) -> BasepointTree:
@@ -415,8 +422,8 @@ def tree_from_json(data, max_depth: int = DEFAULT_MAX_DEPTH) -> BasepointTree:
     if not isinstance(data["tree"], list):
         raise InvalidInput("tree must be a list of root nodes")
     parse = _element_parser(tower)
-    roots = tuple(
-        _node_from_json(n, parse, (), None, None, 1, max_depth)
-        for n in data["tree"]
+    roots = _distinct(
+        [_node_from_json(n, parse, (), None, None, 1, max_depth) for n in data["tree"]],
+        "roots",
     )
     return BasepointTree(roots, tower)

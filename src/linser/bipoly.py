@@ -50,6 +50,7 @@ from .numfield import (
     Rational,
     cleared_row,
     integer_row,
+    power,
     rational_row,
     render_terms,
 )
@@ -465,15 +466,7 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if not isinstance(n, int) or n < 0:
             raise InvalidInput("polynomial powers must be nonnegative integers")
-        result = BiPoly.one(self.tower)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, BiPoly.one(self.tower))
 
     def substitute(self, var: str, value) -> UniPoly:
         """Set one variable to a field element, leaving a UniPoly in the other."""
@@ -669,15 +662,8 @@ def _z_add(a, b, sign=1):
 
 
 def _z_pow(a, n, one=1, zero=0):
-    """a^n by repeated squaring, for the entries' one and zero."""
-    out, base = [one], a
-    while n:
-        if n & 1:
-            out = _z_mul(out, base, None, zero)
-        n >>= 1
-        if n:
-            base = _z_mul(base, base, None, zero)
-    return out
+    """a^n, for the entries' one and zero."""
+    return power(a, n, [one], lambda x, y: _z_mul(x, y, None, zero))
 
 
 def _divmod(a, b, quo, ring=None):

@@ -156,11 +156,12 @@ def _cmd_series(args):
 
 def _cmd_invariants(args):
     polys, tower, _ = _series_document(_load_json(args.input))
+    # the series first: the default degree is only defined for valid generators
+    F = LinearSeries(polys, tower)
     if args.basis is not None:
         spec = _basis_spec(args.basis)
     else:
         spec = TotalDegree(max(f.degree() for f in polys))
-    F = LinearSeries(polys, tower)
     linseries._check_fits(F, spec)
     tree = baselocus.get_basepoints(F.generators, tower=F.tower, max_depth=args.max_depth)
     h, k, ctx = nslattice.class_of_series(tree, spec)

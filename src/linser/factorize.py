@@ -32,7 +32,7 @@ from .bipoly import (
     resultant,
 )
 from .errors import InvalidInput
-from .numfield import FieldElement, FieldTower, Rational, _adjoin
+from .numfield import FieldElement, FieldTower, Rational, _adjoin, power
 from .numfield import extend_field  # noqa: F401  (the benchmark's tracer wraps it here)
 
 # -- dense integer polynomials: the _z_ helpers are bipoly's -------------------
@@ -63,14 +63,9 @@ def _gf_ext_gcd(a, b, p):
 
 
 def _gf_pow_mod(base, e, mod, p):
-    result = [1]
+    """base^e mod (mod, p)."""
     base = _z_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _z_divmod(_z_mul(result, base, p), mod, p)[1]
-        base = _z_divmod(_z_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+    return power(base, e, [1], lambda a, b: _z_divmod(_z_mul(a, b, p), mod, p)[1])
 
 
 # -- primes ---------------------------------------------------------------------

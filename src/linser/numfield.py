@@ -21,6 +21,10 @@ An element prints as a sum of terms, highest exponents first; a rational
 element or polynomial coefficient prints straight from its pair, already
 in lowest terms.  Printing an integer of more than MAX_DIGITS digits
 raises SizeLimitExceeded.
+
+power is the one repeated-squaring loop, for this layer and those above
+it: element, polynomial and dense-list powers, powers modulo a
+polynomial and the parser's ^ pass it their own product.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Callable
 
 from .errors import (
@@ -198,8 +202,8 @@ def _monomial(tower: FieldTower, exps: tuple[int, ...]) -> "FieldElement":
     for j, k in enumerate(exps[:-1]):
         low = low * below.gen(j) ** k
     top = UniPoly(below, "t", [0] * exps[-1] + [low])
-    power = top % UniPoly(below, "t", tower._gens[-1].minpoly)
-    return FieldElement._from_top_dense(tower, power.coeffs)
+    rem = top % UniPoly(below, "t", tower._gens[-1].minpoly)
+    return FieldElement._from_top_dense(tower, rem.coeffs)
 
 
 def _normal(tower: FieldTower, num, den: int) -> "FieldElement":
@@ -231,6 +235,21 @@ def _sum(x: "FieldElement", y: "FieldElement", op) -> "FieldElement":
     g = gcd(da, db)
     ma, mb = db // g, da // g
     return _normal(x.tower, [op(p * ma, q * mb) for p, q in zip(a, b)], da * ma)
+
+
+def power(base, n: int, one, mul=mul):
+    """base^n for an integer n >= 0 by repeated squaring, for elements,
+    polynomials and dense lists alike: mul(result, base) once per set bit
+    of n, lowest first, and mul(base, base) once per bit below the highest,
+    so a caller's mul may count or reduce the products."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 def cleared_row(row) -> tuple[list[int], int]:
@@ -430,15 +449,7 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, self.tower.one())
 
     # -- structure ----------------------------------------------------------
 

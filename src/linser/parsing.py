@@ -5,12 +5,17 @@ literals, named generators and variables, +, -, *, ^ and parentheses.
 Multiplication is always explicit, so "2u" is a syntax error and "2*u"
 is not.  Canonical string output from the polynomial types parses back
 to an equal object.
+
+One parser serves BiPoly, UniPoly and field elements through one atom
+class, built from the type's constant constructor, its own variables
+and its coefficient view.  Every product, the repeated squarings of ^
+included, is charged against MAX_PRODUCTS.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInput, ParseError, SizeLimitExceeded
-from .numfield import MAX_DIGITS, QQ, FieldElement, FieldTower, Rational, extend_field
+from .numfield import MAX_DIGITS, QQ, FieldElement, FieldTower, Rational, extend_field, power
 from .bipoly import BiPoly, UniPoly
 
 _OPS = set("+-*^()/")
@@ -89,14 +94,7 @@ class _Parser:
         return a * b
 
     def _power(self, base, n: int):
-        result = self.atoms.from_rational(Rational(1))
-        while n:
-            if n & 1:
-                result = self._mul(result, base)
-            n >>= 1
-            if n:
-                base = self._mul(base, base)
-        return result
+        return power(base, n, self.atoms.constant(Rational(1)), self._mul)
 
     def _peek(self):
         return self.toks[self.i]
@@ -186,8 +184,8 @@ class _Parser:
                 den = self._int(dtok)
                 if den == 0:
                     raise ParseError(f"zero denominator at position {dtok[2]}")
-                return self.atoms.from_rational(Rational(num, den))
-            return self.atoms.from_rational(Rational(num))
+                return self.atoms.constant(Rational(num, den))
+            return self.atoms.constant(Rational(num))
         if kind == "NAME":
             return self.atoms.from_name(val, pos)
         if kind == "OP" and val == "(":
@@ -199,88 +197,67 @@ class _Parser:
         self._fail(tok, "a number, a name or a parenthesized expression")
 
 
-class _BiAtoms:
-    def __init__(self, tower: FieldTower):
+class _Atoms:
+    """The leaves of one expression type over a tower.
+
+    constant(c) is the type's constant for a rational or a generator,
+    variables maps each of the type's own names to its value, and coeffs(x)
+    is x's coefficient elements, which size reads."""
+
+    def __init__(self, tower: FieldTower, constant, variables: dict, coeffs):
         self.tower = tower
+        self.constant = constant
+        self.variables = variables
+        self.coeffs = coeffs
 
-    def from_rational(self, q):
-        return BiPoly.constant(self.tower, q)
-
-    @staticmethod
-    def size(p: BiPoly) -> tuple[int, int]:
-        """(terms, machine words of the largest coefficient)."""
-        coeffs = p.terms().values()
+    def size(self, x) -> tuple[int, int]:
+        """(coefficients, machine words of the largest)."""
+        coeffs = self.coeffs(x)
         return len(coeffs), max((c.words() for c in coeffs), default=1)
 
     def from_name(self, name, pos):
-        if name in ("u", "v"):
-            return BiPoly.variable(self.tower, name)
+        if name in self.variables:
+            return self.variables[name]
         if name in self.tower.names():
-            return BiPoly.constant(self.tower, self.tower.gen(name))
-        known = ("u", "v") + self.tower.names()
+            return self.constant(self.tower.gen(name))
+        known = tuple(self.variables) + self.tower.names()
         raise ParseError(
             f"unknown name {name!r} at position {pos}; known names: "
-            + ", ".join(known)
-        )
-
-
-class _UniAtoms:
-    def __init__(self, tower: FieldTower, var: str):
-        self.tower = tower
-        self.var = var
-
-    def from_rational(self, q):
-        return UniPoly.constant(self.tower, self.var, q)
-
-    @staticmethod
-    def size(p: UniPoly) -> tuple[int, int]:
-        return len(p.coeffs), max((c.words() for c in p.coeffs), default=1)
-
-    def from_name(self, name, pos):
-        if name == self.var:
-            return UniPoly.variable(self.tower, self.var)
-        if name in self.tower.names():
-            return UniPoly.constant(self.tower, self.var, self.tower.gen(name))
-        known = (self.var,) + self.tower.names()
-        raise ParseError(
-            f"unknown name {name!r} at position {pos}; known names: "
-            + ", ".join(known)
-        )
-
-
-class _ElemAtoms:
-    def __init__(self, tower: FieldTower):
-        self.tower = tower
-
-    def from_rational(self, q):
-        return self.tower.rational(q)
-
-    @staticmethod
-    def size(x: FieldElement) -> tuple[int, int]:
-        return 1, x.words()
-
-    def from_name(self, name, pos):
-        if name in self.tower.names():
-            return self.tower.gen(name)
-        raise ParseError(
-            f"unknown name {name!r} at position {pos}; known names: "
-            + ", ".join(self.tower.names() or ("none",))
+            + ", ".join(known or ("none",))
         )
 
 
 def parse_bipoly(text: str, tower: FieldTower) -> BiPoly:
     """Parse an expression in u, v and the tower's generators."""
-    return _Parser(text, _BiAtoms(tower)).parse()
+    atoms = _Atoms(
+        tower,
+        lambda c: BiPoly.constant(tower, c),
+        {name: BiPoly.variable(tower, name) for name in ("u", "v")},
+        lambda p: p.terms().values(),
+    )
+    return _Parser(text, atoms).parse()
 
 
 def parse_unipoly(text: str, tower: FieldTower, var: str) -> UniPoly:
     """Parse an expression in one named variable and the tower's generators."""
-    return _Parser(text, _UniAtoms(tower, var)).parse()
+    atoms = _Atoms(
+        tower,
+        lambda c: UniPoly.constant(tower, var, c),
+        {var: UniPoly.variable(tower, var)},
+        lambda p: p.coeffs,
+    )
+    return _Parser(text, atoms).parse()
 
 
 def parse_element(text: str, tower: FieldTower) -> FieldElement:
     """Parse a constant expression in the tower's generators."""
-    return _Parser(text, _ElemAtoms(tower)).parse()
+    atoms = _Atoms(
+        tower,
+        lambda c: c if isinstance(c, FieldElement) else tower.rational(c),
+        {},
+        lambda x: (x,),
+    )
+    return _Parser(text, atoms).parse()
 
 
 def tower_to_json(tower: FieldTower) -> list:

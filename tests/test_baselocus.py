@@ -521,6 +521,26 @@ def test_json_validation_errors():
         tree_from_json(bad)
 
 
+def test_json_rejects_two_siblings_at_one_point():
+    leaf = chain_doc(1)["tree"][0]
+    with pytest.raises(InvalidInput, match="two roots"):
+        tree_from_json({"tower": [], "tree": [leaf, leaf]})
+    for chart in ("t", "s"):
+        doc = chain_doc(2)
+        root = doc["tree"][0]
+        child = root.pop("children_t")[0]
+        child["sequence"][0][1] = chart
+        root["children_t"] = []
+        root["children_" + chart] = [child, child]
+        with pytest.raises(InvalidInput, match="two children_" + chart):
+            tree_from_json(doc)
+        # distinct siblings still load
+        other = json.loads(json.dumps(child))
+        other["point"] = ["1", "0"] if chart == "t" else ["0", "1"]
+        root["children_" + chart] = [child, other]
+        assert tree_from_json(doc).node_count() == 3
+
+
 def test_with_multiplicities():
     tower, _ = gaussian_pair()
     tree = get_basepoints(series(F_TEXTS, tower))

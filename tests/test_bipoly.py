@@ -9,6 +9,8 @@ import pytest
 from linser.bipoly import (
     BiPoly,
     UniPoly,
+    _z_mul,
+    _z_pow,
     deriv_eval,
     gcd_tuple,
     pullback_blowup,
@@ -16,10 +18,10 @@ from linser.bipoly import (
     taylor_shift,
     uni_gcd_list,
 )
-from linser.errors import InvalidInput, NotDivisible
+from linser.errors import InvalidInput, NotDivisible, ParseError, SizeLimitExceeded
 from linser.linseries import TotalDegree, monomial_basis
 from linser.numfield import QQ, FieldElement, extend_field
-from linser.parsing import parse_bipoly, parse_unipoly
+from linser.parsing import parse_bipoly, parse_element, parse_unipoly
 
 
 def bp(text, tower=QQ):
@@ -138,6 +140,41 @@ def test_powers_square_only_while_bits_remain(monkeypatch):
     calls.clear()
     assert bp("u+v") ** 400 == expected
     assert len(calls) == 11
+
+
+def test_powers_match_repeated_multiplication():
+    gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    cubic, emb, r = extend_field(gaussian, [-1, -i, 0, 1], "r")
+    zero, one = cubic.zero(), cubic.one()
+    f = bp("1/3*u*v - 2*v")
+    g = UniPoly(cubic, "t", [r, emb(i)])
+    z = [3, 0, -2]
+    k = [r, zero, emb(i) + 1]
+    ef, eg, ez, ek = BiPoly.one(QQ), UniPoly.one(cubic, "t"), [1], [one]
+    for n in range(41):
+        assert f ** n == ef
+        assert g ** n == eg
+        assert _z_pow(z, n) == ez
+        assert _z_pow(k, n, one, zero) == ek
+        ef, eg = ef * f, eg * g
+        ez, ek = _z_mul(ez, z), _z_mul(ek, k, None, zero)
+
+
+def test_parsers_name_their_known_names_and_keep_the_product_budget():
+    gaussian = extend_field(QQ, [1, 0, 1], "i")[0]
+    parsers = {
+        parse_bipoly: ("u, v", "u, v, i"),
+        lambda text, tower: parse_unipoly(text, tower, "t"): ("t", "t, i"),
+        parse_element: ("none", "i"),
+    }
+    for parse, known in parsers.items():
+        for tower, names in zip((QQ, gaussian), known):
+            with pytest.raises(ParseError) as exc:
+                parse("1 + w", tower)
+            assert str(exc.value) == f"unknown name 'w' at position 4; known names: {names}"
+            with pytest.raises(SizeLimitExceeded):
+                parse("((2^100)^100)^100", tower)
+        assert parse("2*i^2 + 3", gaussian) == parse("1", gaussian)
 
 
 def test_exact_div():

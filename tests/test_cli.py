@@ -406,6 +406,14 @@ def test_variables_field_is_checked():
     assert out.returncode == 0
 
 
+def test_invariants_rejects_a_zero_generator_before_choosing_a_degree():
+    # the default degree is the generators' largest, which a zero series lacks
+    out = run("invariants", "-", stdin=b'{"series": ["0"]}')
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr == b"error: series generators are linearly dependent\n"
+
+
 def test_unknown_field_rejected():
     doc = json.loads((GOLDEN / "conic_input.json").read_text())
     doc["serie"] = doc["series"]

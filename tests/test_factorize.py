@@ -315,6 +315,19 @@ def _gf_irreducible(f, p):
     return True
 
 
+def test_gf_pow_mod_matches_the_naive_product():
+    # the full product mod p, reduced by the modulus once at the end
+    rng = random.Random(23)
+    for p in (5, 7, 101):
+        mod = [rng.randrange(p) for _ in range(4)] + [1]
+        base = [rng.randrange(p) for _ in range(6)]
+        full = [1]
+        for e in range(41):
+            expected = factorize._z_divmod(full, mod, p)[1]
+            assert factorize._gf_pow_mod(base, e, mod, p) == expected
+            full = factorize._z_mul(full, base, p)
+
+
 def _gf_random_irreducible(rng, d, p):
     while True:
         f = [rng.randrange(p) for _ in range(d)] + [1]

@@ -21,6 +21,7 @@ from linser.numfield import (
     _adjoin,
     conjugation,
     extend_field,
+    power,
 )
 from linser.parsing import parse_bipoly
 
@@ -114,6 +115,27 @@ def test_nested_tower():
         assert z * inv == tower3.one()
         assert inv.inverse() == z
         checked += 1
+
+
+def test_power_matches_repeated_multiplication():
+    gauss, _, i = gaussian()
+    cubic, emb, r = extend_field(gauss, [-1, -i, 0, 1], "r")
+    for tower, x in (
+        (QQ, QQ.rational(Fraction(-3, 2))),
+        (cubic, emb(i) + r * 2 - r * r * Fraction(1, 3)),
+    ):
+        expected = tower.one()
+        for n in range(41):
+            assert power(x, n, tower.one()) == expected
+            assert x ** n == expected
+            assert x ** -n == expected.inverse()
+            expected = expected * x
+    # one product per set bit of n and one squaring per bit below its
+    # highest, so a counting or reducing mul sees exactly these
+    for n in range(41):
+        calls = []
+        assert power(3, n, 1, lambda a, b: calls.append(1) or a * b) == 3 ** n
+        assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
 
 
 def _inversion_towers():
