@@ -6,7 +6,8 @@ A matrix over QQ is reduced on integer rows instead (fraction-free, as in
 Bareiss's elimination): each row is kept primitive, and the pivot rows are
 divided by their pivots once at the end.  The reduced form is unique, so
 both give the same elements.  That integer elimination, integer_rref, also
-inverts field elements: numfield solves x * y = 1 with it.
+gives the rank over QQ, as its pivot count, and inverts field elements:
+numfield solves x * y = 1 with it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .numfield import integer_row, rational_row
 def rref(rows):
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]
-    if rows and rows[0] and rows[0][0].tower.degree() == 1:
+    if _over_qq(rows):
         return _rref_rational(rows)
     n = len(rows[0]) if rows else 0
     pivots = []
@@ -42,6 +43,10 @@ def rref(rows):
                     row[j] = row[j] - f * prow[j]
         pivots.append(c)
     return rows[: len(pivots)], pivots
+
+
+def _over_qq(rows) -> bool:
+    return bool(rows and rows[0] and rows[0][0].tower.degree() == 1)
 
 
 def _rref_rational(rows):
@@ -88,6 +93,10 @@ def integer_rref(rows) -> list[int]:
 
 
 def rank(rows) -> int:
+    """The number of pivots; over QQ those of integer_rref on the cleared
+    rows, without building the reduced rational rows."""
+    if _over_qq(rows):
+        return len(integer_rref([integer_row(r) for r in rows]))
     return len(rref(rows)[1])
 
 

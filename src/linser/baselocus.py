@@ -50,6 +50,10 @@ class BasepointNode:
             raise InvalidInput("a T-branch child must have v-coordinate 0")
         if any(c.point[0] for c in self.children_s):
             raise InvalidInput("an S-branch child must have u-coordinate 0")
+        # and an S-child at (0, c), c != 0, is the T-child at (1/c, 0)
+        twins = {(1 / c.point[1], c.point[0]) for c in self.children_s if c.point[1]}
+        if any(c.point in twins for c in self.children_t):
+            raise InvalidInput("a T-branch child and an S-branch child lie at the same point")
 
     def children(self):
         return self.children_t + self.children_s

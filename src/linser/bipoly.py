@@ -25,9 +25,9 @@ a point is a coefficient of the shift times factorials.
 
 The constructors validate and coerce every coefficient.  Results whose
 coefficients are already nonzero elements of the result's tower (the
-shift, the pullback, embeddings, and UniPoly sums, products and
-quotients) are built through the private _of constructors instead,
-which skip that work.
+shift, the pullback, embeddings, and sums, negations, products and
+UniPoly quotients) are built through the private _of constructors
+instead, which skip that work.
 """
 
 from __future__ import annotations
@@ -434,13 +434,18 @@ class BiPoly:
         a, b = self._pair(other)
         out = dict(a._terms)
         for k, c in b._terms.items():
-            out[k] = out.get(k, a.tower.zero()) + c
-        return BiPoly(a.tower, out)
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return BiPoly._of(a.tower, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly(self.tower, {k: -c for k, c in self._terms.items()})
+        return BiPoly._of(self.tower, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._pair(other)[1])
@@ -459,7 +464,7 @@ class BiPoly:
                     out[k] = out[k] + prod
                 else:
                     out[k] = prod
-        return BiPoly(a.tower, out)
+        return BiPoly._of(a.tower, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -470,27 +475,10 @@ class BiPoly:
 
     def substitute(self, var: str, value) -> UniPoly:
         """Set one variable to a field element, leaving a UniPoly in the other."""
-        _check_var(var)
-        t, (value,) = _on_common_tower(self.tower, (value,))
-        idx = 0 if var == "u" else 1
-        other = "v" if var == "u" else "u"
-        n = self.degree(other)
-        out = [t.zero()] * (n + 1)
-        pw = _powers(value, self.degree(var), t.one())
-        for (du, dv), c in self._terms.items():
-            e = (du, dv)[idx]
-            k = (du, dv)[1 - idx]
-            out[k] = out[k] + c.embed(t) * pw[e]
-        return UniPoly(t, other, out)
+        return substitute_each([self], var, value)[0]
 
     def eval(self, point) -> FieldElement:
-        t, (xu, xv) = _on_common_tower(self.tower, point)
-        pu = _powers(xu, self.degree("u"), t.one())
-        pv = _powers(xv, self.degree("v"), t.one())
-        acc = t.zero()
-        for (du, dv), c in self._terms.items():
-            acc = acc + c.embed(t) * pu[du] * pv[dv]
-        return acc
+        return next(eval_each([self], point))
 
     def subs_polys(self, pu: "BiPoly", pv: "BiPoly") -> "BiPoly":
         """Evaluate at a pair of polynomials: self(pu, pv)."""
@@ -576,6 +564,53 @@ def _powers(base, n: int, one) -> list:
     for _ in range(n):
         out.append(out[-1] * base)
     return out
+
+
+def _on_joined_tower(polys, values):
+    """_on_common_tower for the join of the polynomials' towers."""
+    return _on_common_tower(reduce(common_tower, (f.tower for f in polys)), values)
+
+
+def substitute_each(polys, var: str, value) -> list[UniPoly]:
+    """Each of the nonempty polys with one variable set to a field element,
+    a UniPoly in the other, from one table of the element's powers."""
+    _check_var(var)
+    t, (value,) = _on_joined_tower(polys, (value,))
+    idx = 0 if var == "u" else 1
+    other = "v" if var == "u" else "u"
+    pw = _powers(value, max(f.degree(var) for f in polys), t.one())
+    zero = t.zero()
+    out = []
+    for f in polys:
+        acc = [zero] * (f.degree(other) + 1)
+        for key, c in f._terms.items():
+            if c.tower is not t:
+                c = c.embed(t)
+            e, k = key[idx], key[1 - idx]
+            if e:
+                c = c * pw[e]
+            acc[k] = acc[k] + c if acc[k] else c
+        out.append(UniPoly._of(t, other, acc))
+    return out
+
+
+def eval_each(polys, point):
+    """f(point) for each of the nonempty polys in turn, from one table of
+    powers per coordinate; a caller may stop at any value."""
+    t, (xu, xv) = _on_joined_tower(polys, point)
+    pu = _powers(xu, max(f.degree("u") for f in polys), t.one())
+    pv = _powers(xv, max(f.degree("v") for f in polys), t.one())
+    for f in polys:
+        acc = t.zero()
+        for (du, dv), c in f._terms.items():
+            if c.tower is not t:
+                c = c.embed(t)
+            if du:
+                c = c * pu[du]
+            if dv:
+                c = c * pv[dv]
+            acc = acc + c
+        yield acc
 
 
 def uni_gcd_list(polys) -> UniPoly:

@@ -5,11 +5,12 @@ free of v, or else one resultant of the first member against a
 combination of the others.  Each irreducible factor of the candidate is
 tried at one root, whose conjugates behave alike; the roots of a factor
 that carries points are adjoined, each fiber is solved by univariate
-gcd, and every candidate point is verified by substitution.  A common
-factor makes every resultant vanish, or a whole fiber, and is refused.
-All field extensions are threaded through one growing tower, so every
-coordinate that the caller receives embeds into the final tower returned
-alongside the points.
+gcd, and every candidate point is verified by substitution; a fiber and
+a check substitute into every member from one table of powers per
+coordinate.  A common factor makes every resultant vanish, or a whole
+fiber, and is refused.  All field extensions are threaded through one
+growing tower, so every coordinate that the caller receives embeds into
+the final tower returned alongside the points.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from __future__ import annotations
 from .bipoly import (
     UniPoly,
     common_tower,
+    eval_each,
     gcd_tuple,
     resultant,
+    substitute_each,
     uni_gcd_list,
 )
 from .errors import InvalidInput, NonConstantGcd
@@ -134,7 +137,7 @@ def _fiber_gcd(polys, x: FieldElement) -> UniPoly:
 
     A system vanishing on the whole line has x's minimal polynomial as a
     common factor."""
-    fiber = [f.substitute("u", x) for f in polys]
+    fiber = substitute_each(polys, "u", x)
     nz = sorted((p for p in fiber if not p.is_zero()), key=lambda p: p.degree())
     if not nz:
         raise _common_factor(polys)
@@ -179,6 +182,6 @@ def _solve_full(polys, t: FieldTower):
             ys, chain = _fiber_roots(gv.embed(chain), [y for _, y in found], chain)
             x = x.embed(chain)
             for y in ys:
-                if all(not f.eval((x, y)) for f in polys):
+                if not any(eval_each(polys, (x, y))):
                     found.append((x, y))
     return [(a.embed(chain), b.embed(chain)) for a, b in found], chain

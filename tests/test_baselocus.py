@@ -541,6 +541,29 @@ def test_json_rejects_two_siblings_at_one_point():
         assert tree_from_json(doc).node_count() == 3
 
 
+def test_json_rejects_a_t_child_and_an_s_child_at_one_point():
+    # the S-chart point (0, c) with c != 0 is the T-chart point (1/c, 0)
+    def child(point, chart):
+        return {"sequence": [[["0", "0"], chart]], "point": point, "mult": 1,
+                "children_t": [], "children_s": []}
+
+    def doc(children_t, children_s):
+        root = {"sequence": [], "point": ["0", "0"], "mult": 2,
+                "children_t": children_t, "children_s": children_s}
+        return {"tower": [], "tree": [root]}
+
+    with pytest.raises(InvalidInput, match="T-branch child and an S-branch child"):
+        tree_from_json(doc([child(["1/2", "0"], "t")], [child(["0", "2"], "s")]))
+    with pytest.raises(InvalidInput, match="T-branch child and an S-branch child"):
+        tree_from_json(doc([child(["0", "0"], "t"), child(["-3", "0"], "t")],
+                           [child(["0", "-1/3"], "s")]))
+    # a lone S-child off the origin, and distinct points in both charts, load
+    assert tree_from_json(doc([], [child(["0", "2"], "s")])).node_count() == 2
+    tree = tree_from_json(doc([child(["1/3", "0"], "t")], [child(["0", "0"], "s"),
+                                                          child(["0", "2"], "s")]))
+    assert tree.node_count() == 4
+
+
 def test_with_multiplicities():
     tower, _ = gaussian_pair()
     tree = get_basepoints(series(F_TEXTS, tower))

@@ -12,15 +12,24 @@ from linser.bipoly import (
     _z_mul,
     _z_pow,
     deriv_eval,
+    eval_each,
     gcd_tuple,
     pullback_blowup,
     resultant,
+    substitute_each,
     taylor_shift,
     uni_gcd_list,
 )
-from linser.errors import InvalidInput, NotDivisible, ParseError, SizeLimitExceeded
+from linser import parsing
+from linser.errors import (
+    InvalidInput,
+    LinserError,
+    NotDivisible,
+    ParseError,
+    SizeLimitExceeded,
+)
 from linser.linseries import TotalDegree, monomial_basis
-from linser.numfield import QQ, FieldElement, extend_field
+from linser.numfield import MAX_DIGITS, QQ, FieldElement, extend_field, power
 from linser.parsing import parse_bipoly, parse_element, parse_unipoly
 
 
@@ -116,6 +125,32 @@ def test_substitute_and_eval():
     assert line.var == "u"
     one = QQ.one()
     assert p.eval((one, one)) == QQ.rational(Fraction(2))
+
+
+def test_systems_substitute_from_one_table_of_powers():
+    # substitute_each and eval_each against the sum of c * x^a * y^b, with
+    # the members of different degrees and the point one level up the tower
+    rng = random.Random(24)
+    gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    wider, emb, s = extend_field(gaussian, [-2, 0, 1], "s")
+    for tower, gen in ((QQ, None), (gaussian, i)):
+        for _ in range(10):
+            polys = [_random_bipoly(rng, tower, rng.randint(0, 4), gen) for _ in range(3)]
+            polys = [f for f in polys if not f.is_zero()] or [bp("u*v - 1", tower)]
+            x = _random_coeff(rng, tower, gen).embed(wider) + s * rng.randint(-1, 1)
+            y = _random_coeff(rng, tower, gen)
+            zero, wy = wider.zero(), y.embed(wider)
+            values = [sum((c.embed(wider) * x**du * wy**dv for (du, dv), c in f.terms().items()),
+                          zero) for f in polys]
+            assert list(eval_each(polys, (x, y))) == values
+            assert [f.eval((x, y)) for f in polys] == values
+            for var, value in (("u", x), ("v", y)):
+                fibers = substitute_each(polys, var, value)
+                assert fibers == [f.substitute(var, value) for f in polys]
+                other = wider.rational(3) + s
+                point = (value, other) if var == "u" else (other, value)
+                assert [p.eval(other) for p in fibers] == list(eval_each(polys, point))
+                assert all(p.tower is value.tower and p.var != var for p in fibers)
 
 
 def test_powers_of_high_degree():
@@ -584,3 +619,314 @@ def test_rational_gcd_matches_field_euclid():
             repeated += ours.degree() >= 2 and not ours.gcd(ours.derivative()).is_constant()
         assert pairs[-2][0].degree() >= 10 and pairs[-2][0].gcd(pairs[-2][1]) == monic[0]
         assert coprime >= 2 * rounds // 3 and repeated >= rounds // 3
+
+
+# -- parser equivalence ---------------------------------------------------
+# The tokenizer and parser as they were before TERM tokens, kept as the
+# reference (names changed, Fraction for numfield's alias Rational): reading
+# a monomial term as one token must give the same value, the same error and
+# the same product charge.
+
+_REF_OPS = set("+-*^()/")
+
+
+def _ref_tokenize(text: str):
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {type(text).__name__}")
+    toks = []
+    depth = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("NAME", text[i:j], i))
+            i = j
+            continue
+        if ch in _REF_OPS:
+            depth += (ch == "(") - (ch == ")")
+            if depth > parsing.MAX_NESTING:
+                raise ParseError(f"parentheses nested too deeply at position {i}")
+            toks.append(("OP", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r} at position {i}")
+    toks.append(("END", "", n))
+    return toks
+
+
+class _RefParser:
+    def __init__(self, text: str, atoms):
+        self.text = text
+        self.toks = _ref_tokenize(text)
+        self.i = 0
+        self.atoms = atoms
+        self.products = 0
+
+    def _mul(self, a, b):
+        (na, wa), (nb, wb) = self.atoms.size(a), self.atoms.size(b)
+        pairs = parsing._WORD_PAIRS_PER_UNIT
+        self.products += na * nb * (pairs + wa * wb) // pairs
+        if self.products > parsing.MAX_PRODUCTS:
+            raise SizeLimitExceeded(
+                f"expression needs more than {parsing.MAX_PRODUCTS} coefficient products"
+                " (weighted by the size of their integers)"
+            )
+        return a * b
+
+    def _power(self, base, n: int):
+        return power(base, n, self.atoms.constant(Fraction(1)), self._mul)
+
+    def _peek(self):
+        return self.toks[self.i]
+
+    def _next(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def _fail(self, tok, what: str):
+        kind, val, pos = tok
+        got = "end of input" if kind == "END" else repr(val)
+        raise ParseError(f"expected {what} at position {pos}, got {got}")
+
+    def parse(self):
+        kind, _, _ = self._peek()
+        if kind == "END":
+            raise ParseError("empty expression")
+        value = self._expr()
+        tok = self._peek()
+        if tok[0] != "END":
+            self._fail(tok, "an operator or end of input")
+        return value
+
+    def _expr(self):
+        value = self._term()
+        while True:
+            kind, val, _ = self._peek()
+            if kind == "OP" and val in "+-":
+                self._next()
+                rhs = self._term()
+                value = value + rhs if val == "+" else value - rhs
+            else:
+                return value
+
+    def _term(self):
+        value = self._factor()
+        while True:
+            kind, val, _ = self._peek()
+            if kind == "OP" and val == "*":
+                self._next()
+                value = self._mul(value, self._factor())
+            else:
+                return value
+
+    def _factor(self):
+        negate = False
+        while self._peek()[:2] == ("OP", "-"):
+            self._next()
+            negate = not negate
+        return -self._primary() if negate else self._primary()
+
+    def _primary(self):
+        value = self._atom()
+        kind, val, _ = self._peek()
+        if kind == "OP" and val == "^":
+            self._next()
+            tok = self._next()
+            if tok[0] != "INT":
+                self._fail(tok, "an integer exponent")
+            limit = parsing.MAX_EXPONENT
+            if len(tok[1]) > len(str(limit)) or int(tok[1]) > limit:
+                raise SizeLimitExceeded(f"exponent at position {tok[2]} exceeds {limit}")
+            value = self._power(value, int(tok[1]))
+        return value
+
+    def _int(self, tok):
+        if len(tok[1]) > MAX_DIGITS:
+            raise SizeLimitExceeded(
+                f"integer at position {tok[2]} has more than {MAX_DIGITS} digits"
+            )
+        return int(tok[1])
+
+    def _atom(self):
+        tok = self._next()
+        kind, val, pos = tok
+        if kind == "INT":
+            num = self._int(tok)
+            nk, nv, _ = self._peek()
+            if nk == "OP" and nv == "/":
+                self._next()
+                dtok = self._next()
+                if dtok[0] != "INT":
+                    self._fail(dtok, "an integer denominator")
+                den = self._int(dtok)
+                if den == 0:
+                    raise ParseError(f"zero denominator at position {dtok[2]}")
+                return self.atoms.constant(Fraction(num, den))
+            return self.atoms.constant(Fraction(num))
+        if kind == "NAME":
+            return self.atoms.from_name(val, pos)
+        if kind == "OP" and val == "(":
+            value = self._expr()
+            tok = self._next()
+            if tok[0] != "OP" or tok[1] != ")":
+                self._fail(tok, "a closing parenthesis")
+            return value
+        self._fail(tok, "a number, a name or a parenthesized expression")
+
+
+_PARSERS = {
+    # name: (atoms over a tower, the type's variables)
+    "bipoly": (parsing._bipoly_atoms, ("u", "v")),
+    "unipoly": (lambda tower: parsing._unipoly_atoms(tower, "t"), ("t",)),
+    "element": (parsing._element_atoms, ()),
+}
+
+
+def _outcome(parser, text, atoms):
+    """((type, value) or (error type, text), the product charge once
+    tokenized); the value's tower and variable count in its equality."""
+    p = None
+    try:
+        p = parser(text, atoms)
+        value = p.parse()
+    except LinserError as exc:
+        return (type(exc), str(exc)), p and p.products
+    return (type(value), value), p.products
+
+
+def _assert_parsers_agree(kind, text, tower):
+    atoms, _ = _PARSERS[kind]
+    ours = _outcome(parsing._Parser, text, atoms(tower))
+    assert ours == _outcome(_RefParser, text, atoms(tower)), (kind, text)
+    return ours
+
+
+def _random_number(rng):
+    # 7^1500 and longer fill 66 machine words or more, where the charge of
+    # a product starts to grow with the words of its operands
+    num = str(rng.choice([0, 1, 2, 3, 5, 12, 2**64 + 1, rng.randrange(10**40)]
+                         if rng.random() < 0.96 else [7 ** rng.randint(1500, 5000)]))
+    if rng.random() < 0.3:
+        num += "/" + str(rng.choice([1, 2, 6, 7, 3**50, 0 if rng.random() < 0.1 else 4]))
+    return num
+
+
+def _random_text(rng, names, exponents, depth=0):
+    """A sum of products of numbers, names, parenthesized sums and powers,
+    with unary minus chains and varied spacing."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            r = rng.random()
+            powers = exponents
+            if r < 0.3 or not names:
+                atom = _random_number(rng)
+            elif r < 0.85 or depth >= 2:
+                atom = rng.choice(names)
+            else:
+                powers = (0, 1, 2, 3)
+                atom = "(" + _random_text(rng, names, powers, depth + 1) + ")"
+            if rng.random() < 0.4:
+                atom += "^" + str(rng.choice(powers))
+            factors.append("-" * rng.choice([0, 0, 0, 1, 2]) + atom)
+        terms.append(rng.choice(["*", "*", " * "]).join(factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-", " -- ", " + -"]) + term
+    return rng.choice(["", "", "-", "- ", "--"]) + text
+
+
+def _mutated(rng, text):
+    """text with one character inserted, deleted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    c = rng.choice("+-*^/() 2u7vt0i")
+    r = rng.random()
+    if r < 0.4:
+        return text[:i] + c + text[i:]
+    if r < 0.7:
+        return text[:i] + text[i + 1:]
+    return text[:i] + c + text[i + 1:]
+
+
+def _canonical_text(rng, kind, tower, gen):
+    """The printed form of a random polynomial or element: sums of terms."""
+    coeff = lambda: tower.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) + (
+        gen * rng.randint(-2, 2) if gen is not None else 0)
+    if kind == "bipoly":
+        terms = {(rng.randint(0, 4), rng.randint(0, 4)): coeff() for _ in range(rng.randint(1, 5))}
+        return str(BiPoly(tower, terms))
+    if kind == "unipoly":
+        return str(UniPoly(tower, "t", [coeff() for _ in range(rng.randint(1, 6))]))
+    return str(coeff())
+
+
+@pytest.mark.parametrize("kind", sorted(_PARSERS))
+def test_term_tokens_parse_as_the_factor_by_factor_reference(kind):
+    gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    _, variables = _PARSERS[kind]
+    rng = random.Random(f"parser equivalence {kind}")
+    exponents = (0, 1, 2, 3, 7, 40) if kind != "unipoly" else (0, 1, 2, 3, 5, 12)
+    errors = values = 0
+    for n in range(600):
+        tower, gen = (QQ, None) if n % 2 else (gaussian, i)
+        names = variables + tower.names()
+        r = rng.random()
+        if r < 0.25:
+            text = _canonical_text(rng, kind, tower, gen)
+        else:
+            text = _random_text(rng, names, exponents)
+        if r > 0.8:
+            text = _mutated(rng, text)
+        (what, _), _ = _assert_parsers_agree(kind, text, tower)
+        errors += issubclass(what, LinserError)
+        values += not issubclass(what, LinserError)
+    assert errors >= 60 and values >= 300, (errors, values)
+
+
+def test_targeted_texts_parse_as_the_factor_by_factor_reference():
+    gaussian = extend_field(QQ, [1, 0, 1], "i")[0]
+    long = "9" * (MAX_DIGITS + 1)
+    shared = [
+        "2u", "u^2^3", "u*-v", "1/0", "u^", "u^10001", long, "9" * MAX_DIGITS,
+        long + "*u", "1/" + long + "*u", "7" * 3000 + "*u^40*v^7", "1/" + "3" * 2000 + "*v^9*u",
+        "7" * 4000 + "*u^5000*u^3000", "3^2*u", "2*u*(u+v)", "u*-3*v", "u*- 3*v",
+        "--3*u^2 - -v", "(3*u)^2", "u^00002", "u^000002*v", "u^10000", "1/2/3*u",
+        "u^0*v^0", "0*u + 0", "0*u^3*v^2 - 0", "-(2/4*u^1*v)", "2*u^3 v", "u^2 ^3",
+        "u ^2", "u^2*", "*u", "u^2)", "(u^2", "2^-3*u", "u^-1", "1/-2*u", "u/2",
+        "i*u", "u*i", "2*i*u", "12/0*u^2", "u^2*u^3*v*u", "uv", "u2*v", "_u*v",
+        "u + v^10001", "(" * 101 + "u" + ")" * 101, "u\n+\tv", "u^9999*v^9999",
+        "3*u²", "٣*u", "x*u", "u*v^1*u^0 + 7", "½*u",
+    ]
+    tables = {
+        "bipoly": shared,
+        "unipoly": [text.replace("u", "t").replace("v", "t") for text in shared]
+        + ["t^900*t^900", "3*t^700*t^700 + 1", "t^2000", "t^1000 - t^1000*t", "t^300^3"],
+        "element": shared + ["2/3", "-2/3", "(1/2)", "7^3", "2^3*5", "i^2 + 1"],
+    }
+    for kind, texts in tables.items():
+        for text in texts:
+            for tower in (QQ, gaussian):
+                _assert_parsers_agree(kind, text, tower)
+    # digits that int() refuses were INT tokens, and the reference raises
+    # ValueError on u^² and 3²*u; they are now unexpected characters
+    for text, pos in (("u^²", 2), ("3²*u", 1), ("u*²", 2), ("²", 0)):
+        for kind, (atoms, _) in _PARSERS.items():
+            with pytest.raises(ParseError) as exc:
+                parsing._Parser(text, atoms(gaussian))
+            assert str(exc.value) == f"unexpected character '²' at position {pos}"

@@ -414,6 +414,22 @@ def test_invariants_rejects_a_zero_generator_before_choosing_a_degree():
     assert out.stderr == b"error: series generators are linearly dependent\n"
 
 
+def test_series_rejects_a_t_child_and_an_s_child_at_one_point():
+    # S-child (0, 2) is the T-child (1/2, 0); both gave a fifth condition
+    # row, four times the fourth, and exit 0
+    def child(point, chart):
+        return {"sequence": [[["0", "0"], chart]], "point": point, "mult": 1,
+                "children_t": [], "children_s": []}
+
+    root = {"sequence": [], "point": ["0", "0"], "mult": 2,
+            "children_t": [child(["1/2", "0"], "t")], "children_s": [child(["0", "2"], "s")]}
+    doc = {"tower": [], "tree": [root]}
+    out = run("series", "--basis", "deg:2", "-", stdin=json.dumps(doc).encode())
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr == b"error: a T-branch child and an S-branch child lie at the same point\n"
+
+
 def test_unknown_field_rejected():
     doc = json.loads((GOLDEN / "conic_input.json").read_text())
     doc["serie"] = doc["series"]

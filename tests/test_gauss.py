@@ -146,3 +146,28 @@ def test_rref_properties_hypothesis():
             assert_matches_reference(rows, len(rows[0]))
 
     reduce()
+
+
+def test_rank_counts_the_pivots_of_rref():
+    # over QQ rank reads integer_rref's pivots, over Q(i) it runs rref
+    rng = random.Random(24)
+    cases = [[], [[]], elements([[0, 0, 0]]), elements([[0, 0], [0, 0]]), [[GAUSS.zero()] * 3]]
+    for n in range(200):
+        tower = QQ if n % 2 else GAUSS
+        m, k = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [
+            [tower.rational(F(rng.randint(-9, 9), rng.randint(1, 12)))
+             + (I * rng.randint(-2, 2) if tower is GAUSS else 0)
+             if rng.random() < 0.6 else tower.zero() for _ in range(k)]
+            for _ in range(m)
+        ]
+        if m > 1 and rng.random() < 0.5:
+            # a multiple of another row, or a zero row
+            q = tower.rational(F(rng.randint(-5, 5), rng.randint(1, 7)))
+            rows[rng.randrange(1, m)] = [q * x for x in rows[0]]
+        cases.append(rows)
+    ranks = set()
+    for rows in cases:
+        ranks.add(_gauss.rank(rows))
+        assert _gauss.rank(rows) == len(_gauss.rref(rows)[1])
+    assert ranks >= {0, 1, 2, 3, 4, 5, 6}

@@ -370,7 +370,7 @@ TRUNCATION_CASES = (
                 (2, 2, 1, 1))], Bidegree(3, 2)),
     ((), [(("1", "-1"), 3,
            [(("2", "0"), 2, [(("1", "0"), 1, [], [])], []), (("-1", "0"), 1, [], [])],
-           [(("0", "1/2"), 1, [], [(("0", "0"), 1, [], [])])])], TotalDegree(6)),
+           [(("0", "1/3"), 1, [], [(("0", "0"), 1, [], [])])])], TotalDegree(6)),
     (GAUSS, [chain(("1 + i", "-2"), [("t", ("i", "0")), ("s", ("0", "-i")), ("t", ("2", "0"))],
                    (3, 2, 1, 1))], TotalDegree(5)),
     (GAUSS, [chain(("1 + 2*i", "3"), [("t", ("i", "0"))], (2, 1)),
