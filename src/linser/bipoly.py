@@ -430,17 +430,23 @@ class BiPoly:
         t = common_tower(self.tower, other.tower)
         return self.embed(t), other.embed(t)
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         a, b = self._pair(other)
+        op = operator.add if sign > 0 else operator.sub
         out = dict(a._terms)
         for k, c in b._terms.items():
             if k in out:
-                c = out[k] + c
+                c = op(out[k], c)
                 if not c:
                     del out[k]
                     continue
+            elif sign < 0:
+                c = -c
             out[k] = c
         return BiPoly._of(a.tower, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -448,7 +454,7 @@ class BiPoly:
         return BiPoly._of(self.tower, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._pair(other)[1])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -478,7 +484,8 @@ class BiPoly:
         return substitute_each([self], var, value)[0]
 
     def eval(self, point) -> FieldElement:
-        return next(eval_each([self], point))
+        x, y = point
+        return self.substitute("u", x).eval(y)
 
     def subs_polys(self, pu: "BiPoly", pv: "BiPoly") -> "BiPoly":
         """Evaluate at a pair of polynomials: self(pu, pv)."""
@@ -566,16 +573,12 @@ def _powers(base, n: int, one) -> list:
     return out
 
 
-def _on_joined_tower(polys, values):
-    """_on_common_tower for the join of the polynomials' towers."""
-    return _on_common_tower(reduce(common_tower, (f.tower for f in polys)), values)
-
-
 def substitute_each(polys, var: str, value) -> list[UniPoly]:
     """Each of the nonempty polys with one variable set to a field element,
     a UniPoly in the other, from one table of the element's powers."""
     _check_var(var)
-    t, (value,) = _on_joined_tower(polys, (value,))
+    t = reduce(common_tower, (f.tower for f in polys))
+    t, (value,) = _on_common_tower(t, (value,))
     idx = 0 if var == "u" else 1
     other = "v" if var == "u" else "u"
     pw = _powers(value, max(f.degree(var) for f in polys), t.one())
@@ -592,25 +595,6 @@ def substitute_each(polys, var: str, value) -> list[UniPoly]:
             acc[k] = acc[k] + c if acc[k] else c
         out.append(UniPoly._of(t, other, acc))
     return out
-
-
-def eval_each(polys, point):
-    """f(point) for each of the nonempty polys in turn, from one table of
-    powers per coordinate; a caller may stop at any value."""
-    t, (xu, xv) = _on_joined_tower(polys, point)
-    pu = _powers(xu, max(f.degree("u") for f in polys), t.one())
-    pv = _powers(xv, max(f.degree("v") for f in polys), t.one())
-    for f in polys:
-        acc = t.zero()
-        for (du, dv), c in f._terms.items():
-            if c.tower is not t:
-                c = c.embed(t)
-            if du:
-                c = c * pu[du]
-            if dv:
-                c = c * pv[dv]
-            acc = acc + c
-        yield acc
 
 
 def uni_gcd_list(polys) -> UniPoly:

@@ -455,7 +455,9 @@ class FieldElement:
 
     def embed(self, tower: FieldTower) -> "FieldElement":
         """Reinterpret this element inside a tower extending its own."""
-        if tower is not self.tower and not tower.extends(self.tower):
+        if tower is self.tower:
+            return self
+        if not tower.extends(self.tower):
             raise FieldMismatch(f"{tower!r} does not extend {self.tower!r}")
         pad = (0,) * (tower._degree - len(self.num))
         return FieldElement(tower, self.num + pad, self.den)

@@ -2,15 +2,15 @@
 
 The solver eliminates v once: the u-candidate is the gcd of the members
 free of v, or else one resultant of the first member against a
-combination of the others.  Each irreducible factor of the candidate is
-tried at one root, whose conjugates behave alike; the roots of a factor
-that carries points are adjoined, each fiber is solved by univariate
-gcd, and every candidate point is verified by substitution; a fiber and
-a check substitute into every member from one table of powers per
-coordinate.  A common factor makes every resultant vanish, or a whole
-fiber, and is refused.  All field extensions are threaded through one
-growing tower, so every coordinate that the caller receives embeds into
-the final tower returned alongside the points.
+combination of the others.  One pass over the candidate's irreducible
+factors decides each at one root, whose conjugates behave alike, and
+adjoins the roots of a factor that carries points; each fiber is solved
+by univariate gcd, and every candidate point (x, y) is verified by
+evaluating the members on the fiber u = x at y.  A common factor makes
+every resultant vanish, or a whole fiber, and is refused.  All field
+extensions are threaded through one growing tower, so every coordinate
+that the caller receives embeds into the final tower returned alongside
+the points.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from .bipoly import (
     UniPoly,
     common_tower,
-    eval_each,
     gcd_tuple,
     resultant,
     substitute_each,
@@ -92,8 +91,7 @@ def zero_set(F, tower: FieldTower | None = None):
     """
     nonzero, t = prepare_system(F, tower)
     raw, chain = _solve_full(nonzero, t)
-    records = [_as_record(xu.embed(chain), xv.embed(chain), t.width, chain)
-               for xu, xv in raw]
+    records = [_as_record(xu, xv, t.width, chain) for xu, xv in raw]
     records.sort(
         key=lambda r: (
             r.tower.degree(),
@@ -132,16 +130,16 @@ def _candidate(polys) -> UniPoly:
     raise _common_factor(polys)
 
 
-def _fiber_gcd(polys, x: FieldElement) -> UniPoly:
-    """Monic gcd in v of the system restricted to the vertical line u = x.
+def _fiber(polys, x: FieldElement):
+    """The nonzero members of the system restricted to the vertical line
+    u = x, sorted by degree in v, and their monic gcd.
 
     A system vanishing on the whole line has x's minimal polynomial as a
     common factor."""
-    fiber = substitute_each(polys, "u", x)
-    nz = sorted((p for p in fiber if not p.is_zero()), key=lambda p: p.degree())
+    nz = sorted((p for p in substitute_each(polys, "u", x) if p), key=UniPoly.degree)
     if not nz:
         raise _common_factor(polys)
-    return uni_gcd_list(nz)
+    return nz, uni_gcd_list(nz)
 
 
 def _fiber_roots(gv: UniPoly, known, chain: FieldTower):
@@ -161,27 +159,27 @@ def _fiber_roots(gv: UniPoly, known, chain: FieldTower):
 
 
 def _solve_full(polys, t: FieldTower):
-    """Solve polys, nonzero over t; returns (points, tower)."""
-    # The roots of a factor are conjugate over t: one decides for all, and
-    # every factor is decided before any root is adjoined.  A nonlinear
-    # factor is monic and irreducible, so it is adjoined without a check.
-    carrying = []
-    for q, _ in factor_univariate(_candidate(polys)):
-        x = -q.coeffs[0] if q.degree() == 1 else _adjoin(t, q.coeffs)[2]
-        gv = _fiber_gcd(polys, x)
-        if gv.degree() > 0:
-            carrying.append((q, [(x, gv)] if q.degree() == 1 else None))
-
+    """Solve polys, nonzero over t; returns (points, tower), all on the tower."""
+    # The roots of a factor are conjugate over t, so one root, in a tower
+    # of its own over t, decides for all; only a factor that carries points
+    # is adjoined to the chain.  A nonlinear factor is monic and
+    # irreducible, so it is adjoined without a check.
     chain = t
     found = []
-    for q, fibers in carrying:
-        if fibers is None:
+    for q, _ in factor_univariate(_candidate(polys)):
+        if q.degree() == 1:
+            xs = [-q.coeffs[0]]
+        elif _fiber(polys, _adjoin(t, q.coeffs)[2])[1].degree() > 0:
             xs, chain = adjoin_roots(q, chain)
-            fibers = [(x, _fiber_gcd(polys, x)) for x in xs]
-        for x, gv in fibers:
+        else:
+            continue
+        for x in xs:
+            fiber, gv = _fiber(polys, x)
+            if gv.degree() == 0:
+                continue
             ys, chain = _fiber_roots(gv.embed(chain), [y for _, y in found], chain)
             x = x.embed(chain)
             for y in ys:
-                if not any(eval_each(polys, (x, y))):
+                if not any(p.eval(y) for p in fiber):
                     found.append((x, y))
     return [(a.embed(chain), b.embed(chain)) for a, b in found], chain

@@ -12,7 +12,6 @@ from linser.bipoly import (
     _z_mul,
     _z_pow,
     deriv_eval,
-    eval_each,
     gcd_tuple,
     pullback_blowup,
     resultant,
@@ -128,29 +127,50 @@ def test_substitute_and_eval():
 
 
 def test_systems_substitute_from_one_table_of_powers():
-    # substitute_each and eval_each against the sum of c * x^a * y^b, with
-    # the members of different degrees and the point one level up the tower
+    # substitute_each and BiPoly.eval against the sum of c * x^a * y^b,
+    # with the members of different degrees and the point one level up the
+    # tower
     rng = random.Random(24)
     gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
     wider, emb, s = extend_field(gaussian, [-2, 0, 1], "s")
+
+    def value(f, x, y):
+        x, y = x.embed(wider), y.embed(wider)
+        return sum((c.embed(wider) * x**du * y**dv for (du, dv), c in f.terms().items()),
+                   wider.zero())
+
     for tower, gen in ((QQ, None), (gaussian, i)):
         for _ in range(10):
             polys = [_random_bipoly(rng, tower, rng.randint(0, 4), gen) for _ in range(3)]
             polys = [f for f in polys if not f.is_zero()] or [bp("u*v - 1", tower)]
             x = _random_coeff(rng, tower, gen).embed(wider) + s * rng.randint(-1, 1)
             y = _random_coeff(rng, tower, gen)
-            zero, wy = wider.zero(), y.embed(wider)
-            values = [sum((c.embed(wider) * x**du * wy**dv for (du, dv), c in f.terms().items()),
-                          zero) for f in polys]
-            assert list(eval_each(polys, (x, y))) == values
-            assert [f.eval((x, y)) for f in polys] == values
-            for var, value in (("u", x), ("v", y)):
-                fibers = substitute_each(polys, var, value)
-                assert fibers == [f.substitute(var, value) for f in polys]
+            assert [f.eval((x, y)) for f in polys] == [value(f, x, y) for f in polys]
+            for var, val in (("u", x), ("v", y)):
+                fibers = substitute_each(polys, var, val)
+                assert fibers == [f.substitute(var, val) for f in polys]
                 other = wider.rational(3) + s
-                point = (value, other) if var == "u" else (other, value)
-                assert [p.eval(other) for p in fibers] == list(eval_each(polys, point))
-                assert all(p.tower is value.tower and p.var != var for p in fibers)
+                point = (val, other) if var == "u" else (other, val)
+                assert [p.eval(other) for p in fibers] == [value(f, *point) for f in polys]
+                assert all(p.tower is val.tower and p.var != var for p in fibers)
+
+
+def test_difference_is_sum_with_negation():
+    # a - b adds b's terms with the sign flipped, in the order a + (-b)
+    # inserts them, over QQ, Q(i) and across the two towers
+    rng = random.Random(25)
+    gaussian, _, i = extend_field(QQ, [1, 0, 1], "i")
+    for ta, ga, tb, gb in ((QQ, None, QQ, None), (gaussian, i, gaussian, i),
+                           (QQ, None, gaussian, i), (gaussian, i, QQ, None)):
+        for _ in range(15):
+            a = _random_bipoly(rng, ta, rng.randint(0, 4), ga)
+            b = _random_bipoly(rng, tb, rng.randint(0, 4), gb)
+            for other in (b, a + b):
+                diff, ref = a - other, a + (-other)
+                assert diff == ref and diff.tower is ref.tower
+                assert list(diff.terms().items()) == list(ref.terms().items())
+            assert not (a - a).terms()
+            assert (a - a).tower is a.tower
 
 
 def test_powers_of_high_degree():

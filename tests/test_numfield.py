@@ -246,6 +246,18 @@ def test_embed_and_subtower():
     assert not i.is_rational()
 
 
+def test_embed_into_own_tower_is_identity():
+    tower, _, i = gaussian()
+    _, _, j = extend_field(QQ, [1, 0, 1], "j")
+    for x in (i, i * 3 + 1, tower.zero(), QQ.rational(Fraction(5, 3)), j):
+        assert x.embed(x.tower) is x
+    # an element embeds only into a tower that extends its own
+    with pytest.raises(FieldMismatch):
+        i.embed(j.tower)
+    with pytest.raises(FieldMismatch):
+        i.embed(QQ)
+
+
 def test_field_mismatch():
     _, _, i = gaussian()
     _, _, j = extend_field(QQ, [1, 0, 1], "j")

@@ -161,6 +161,59 @@ def test_candidate_factor_without_points_is_skipped():
     assert chain.degree() == 2
 
 
+def test_every_point_is_checked_on_its_fiber(monkeypatch):
+    # a fiber root that is not a root of the fiber is dropped by the check
+    real = zeroset._fiber_roots
+    offered = []
+
+    def with_stray(gv, known, chain):
+        ys, chain = real(gv, known, chain)
+        offered.append(chain.rational(5))
+        return ys + offered[-1:], chain
+
+    monkeypatch.setattr(zeroset, "_fiber_roots", with_stray)
+    points, _ = zero_set([bp("u^2 + v^2"), bp("v^2 + u")])
+    assert coords(points) == [("0", "0"), ("1", "-a0"), ("1", "a0")]
+    points, _ = zero_set([bp("u^3 - 2"), bp("v - u")])
+    assert len(points) == 3 and all(str(p.v) != "5" for p in points)
+    assert len(offered) == 5
+
+
+# Candidates with factors that carry no points before and between factors
+# that do.  Only the factors that carry points are adjoined, in the
+# candidate's order, which fixes the generators, the points and their order.
+ONE_PASS = (
+    (
+        ("(u^2 + u + 1)*(u^3 - 2)*(u^2 - 3)", "v^2 - u",
+         "v*(u^3 - 2)*(u^2 - 3) + (u^2 + u + 1)*(v^2 - u)"),
+        [("-a0", "-a1", 2), ("-a0", "a1", 2), ("a0", "-a2", 3), ("a0", "a2", 3),
+         ("a3", "-a4", 5), ("a3", "a4", 5),
+         ("-1/2*a1*a2*a3 - 1/2*a3", "-1/2*a1*a2*a4 + 1/2*a4", 5),
+         ("-1/2*a1*a2*a3 - 1/2*a3", "1/2*a1*a2*a4 - 1/2*a4", 5),
+         ("1/2*a1*a2*a3 - 1/2*a3", "-1/2*a1*a2*a4 - 1/2*a4", 5),
+         ("1/2*a1*a2*a3 - 1/2*a3", "1/2*a1*a2*a4 + 1/2*a4", 5)],
+        [("a0", ("-3", "0", "1")), ("a1", ("a0", "0", "1")), ("a2", ("-a0", "0", "1")),
+         ("a3", ("-2", "0", "0", "1")), ("a4", ("-a3", "0", "1"))],
+    ),
+    (
+        ("(u^2 - 5)*(u^2 - 2)*(u^2 + 1)*(u^2 + u + 1)", "v^2 - u",
+         "v*(u^2 - 2)*(u^2 + u + 1) + (u^2 - 5)*(u^2 + 1)*(v^2 - u)"),
+        [("-a0", "-a1", 2), ("-a0", "a1", 2), ("a0", "-a2", 3), ("a0", "a2", 3),
+         ("-a3 - 1", "-a3", 4), ("-a3 - 1", "a3", 4), ("a3", "-a3 - 1", 4),
+         ("a3", "a3 + 1", 4)],
+        [("a0", ("-2", "0", "1")), ("a1", ("a0", "0", "1")), ("a2", ("-a0", "0", "1")),
+         ("a3", ("1", "1", "1"))],
+    ),
+)
+
+
+@pytest.mark.parametrize("texts, expected, generators", ONE_PASS)
+def test_factors_decided_in_one_pass(texts, expected, generators):
+    points, chain = zero_set([bp(s) for s in texts])
+    assert [(str(p.u), str(p.v), p.tower.width) for p in points] == expected
+    assert [(n, tuple(map(str, m))) for n, m in chain.generators()] == generators
+
+
 def _line(alpha, beta, gamma):
     out = bp(f"{gamma}")
     if alpha:
