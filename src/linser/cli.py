@@ -1,20 +1,21 @@
-"""Command-line driver: JSON problem files in, deterministic JSON out.
+"""usage: linser COMMAND INPUT [--basis SPEC] [--max-depth N] [--pretty]
 
-Subcommands wrap the library one-to-one.  stdout carries nothing but the
-JSON report; human-oriented diagnostics go to stderr.  Exit codes: 0 on
-success, 2 for unparseable or invalid input, 3 when a mathematical
-precondition fails (common factor, missing adjoint, not a basepoint),
-4 for internal errors and tripped recursion guards.  The report is
-written in the layout of json.dumps(report, indent=2), byte for byte.
+COMMAND: basepoints, series, invariants, complete, adjoint, strict-transform.
+INPUT: a JSON file, or - for stdin.  Options go before or after INPUT, as
+--name value or --name=value; the last wins.  --basis deg:N or bideg:A,B
+picks the monomial space (series, complete and adjoint need it; invariants
+defaults to the series' degree); --max-depth bounds the blowup recursion
+(default 32); --pretty draws the basepoint tree on stderr.  Only the JSON
+report goes to stdout.  Exit codes: 0 ok, 2 misuse or invalid input, 3 a
+mathematical precondition fails, 4 an internal limit tripped.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import baselocus, linseries, nslattice, parsing
 from .baselocus import DEFAULT_MAX_DEPTH
@@ -30,7 +31,6 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .linseries import Bidegree, LinearSeries, TotalDegree
-from .numfield import QQ
 
 MAX_BASIS_DEGREE = 100  # complete at deg:100 takes seconds, at deg:200 over a minute
 
@@ -46,6 +46,8 @@ def _load_json(path: str):
                 text = fh.read()
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -218,65 +220,64 @@ def _cmd_strict_transform(args):
     return _series_json(out, t)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # parse_args leaves a parser as it was, so every main() in a process shares one
-    parser = argparse.ArgumentParser(
-        prog="linser",
-        description="Basepoint trees, linear series and lattice invariants "
-        "of plane curve systems, in exact arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMANDS = {  # command: (handler, --basis "required", "optional" or None for not taken)
+    "basepoints": (_cmd_basepoints, None),
+    "series": (_cmd_series, "required"),
+    "invariants": (_cmd_invariants, "optional"),
+    "complete": (_cmd_complete, "required"),
+    "adjoint": (_cmd_adjoint, "required"),
+    "strict-transform": (_cmd_strict_transform, None),
+}
+USAGE = "usage: linser COMMAND INPUT [--basis SPEC] [--max-depth N] [--pretty]"
 
-    def common(p, basis=None):
-        p.add_argument("input", help="path to a JSON problem file, or - for stdin")
-        p.add_argument(
-            "--max-depth",
-            type=int,
-            default=DEFAULT_MAX_DEPTH,
-            help="blowup/tree recursion bound (default %(default)s)",
-        )
-        p.add_argument(
-            "--pretty",
-            action="store_true",
-            help="also draw the basepoint tree on stderr",
-        )
-        if basis == "required":
-            p.add_argument("--basis", required=True, help="deg:N or bideg:A,B")
-        elif basis == "optional":
-            p.add_argument(
-                "--basis",
-                default=None,
-                help="deg:N or bideg:A,B (default: deg of the input series)",
-            )
 
-    p = sub.add_parser("basepoints", help="resolve all basepoints of a series")
-    common(p)
-    p.set_defaults(handler=_cmd_basepoints)
+def _misuse(message):
+    print(f"{USAGE}\nlinser: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("series", help="series through a basepoint tree")
-    common(p, basis="required")
-    p.set_defaults(handler=_cmd_series)
 
-    p = sub.add_parser("invariants", help="lattice invariants of a series")
-    common(p, basis="optional")
-    p.set_defaults(handler=_cmd_invariants)
+def _is_option(arg: str) -> bool:
+    # "-" and negative numbers such as "-5" are values, as in argparse
+    return arg[:1] == "-" and arg != "-" and not arg[1:].replace(".", "", 1).isdecimal()
 
-    p = sub.add_parser("complete", help="complete a series within a degree bound")
-    common(p, basis="required")
-    p.set_defaults(handler=_cmd_complete)
 
-    p = sub.add_parser("adjoint", help="adjoint series of a planar series")
-    common(p, basis="required")
-    p.set_defaults(handler=_cmd_adjoint)
-
-    p = sub.add_parser(
-        "strict-transform", help="transform a series along a blowup sequence"
-    )
-    common(p)
-    p.set_defaults(handler=_cmd_strict_transform)
-
-    return parser
+def _read_argv(argv):
+    args = SimpleNamespace(input=None, basis=None, max_depth=DEFAULT_MAX_DEPTH, pretty=False)
+    handler = rule = stray = None
+    rest = iter(argv)
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            print((__doc__ or USAGE).strip())
+            raise SystemExit(0)
+        if handler and name == "--pretty":
+            if eq:
+                _misuse(f"--pretty takes no value, got {value!r}")
+            args.pretty = True
+        elif handler and name == "--max-depth" or rule and name == "--basis":
+            value = value if eq else next(rest, None)
+            if value is None or not eq and _is_option(value):
+                _misuse(f"{name} needs a value")
+            try:
+                value = int(value) if name == "--max-depth" else value
+            except ValueError:
+                _misuse(f"--max-depth needs an integer, got {value!r}")
+            setattr(args, name[2:].replace("-", "_"), value)
+        elif _is_option(arg) or args.input is not None:
+            stray = stray or arg  # refused once argv is read, as by argparse: -h still helps
+        elif handler is None:
+            if arg not in _COMMANDS:
+                _misuse(f"unknown command {arg!r}")
+            handler, rule = _COMMANDS[arg]
+        else:
+            args.input = arg
+    if args.input is None:
+        _misuse("INPUT is needed" if handler else "COMMAND is needed")
+    if rule == "required" and args.basis is None:
+        _misuse("this command needs --basis")
+    if stray is not None:
+        _misuse(f"unrecognized argument {stray!r}")
+    return handler, args
 
 
 def _dumps(x, newline="\n") -> str:
@@ -297,13 +298,12 @@ def _dumps(x, newline="\n") -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _read_argv(sys.argv[1:] if argv is None else argv)
     if args.max_depth < 1:
         print("error: --max-depth must be at least 1", file=sys.stderr)
         return 2
     try:
-        text = _dumps(args.handler(args))
+        text = _dumps(handler(args))
     except (InvalidInput, InvalidExtension) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,18 +1,26 @@
 """End-to-end tests for the command line interface.
 
-Each test drives the installed module through a subprocess, so argument
-parsing, exit codes, and byte-exact output all get exercised the way a
-shell user would see them.
+Most tests drive the installed module through a subprocess, so argument
+reading, exit codes, and byte-exact output all get exercised the way a
+shell user would see them.  The argv tests compare the reader with the
+argparse parser it replaced, kept here as the reference.
 """
 
+import argparse
+import functools
+import io
 import json
+import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from linser import cli
+from linser.baselocus import DEFAULT_MAX_DEPTH
 from linser.cli import MAX_BASIS_DEGREE
 from linser.numfield import MAX_DIGITS, QQ
 from linser.parsing import MAX_EXPONENT, MAX_NESTING, parse_bipoly
@@ -20,12 +28,13 @@ from linser.parsing import MAX_EXPONENT, MAX_NESTING, parse_bipoly
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run(*args, stdin=None, timeout=None):
+def run(*args, stdin=None, timeout=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "linser.cli", *args],
         input=stdin,
         capture_output=True,
         timeout=timeout,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -45,8 +54,8 @@ def test_basepoints_golden():
 
 
 def test_main_called_repeatedly_in_one_process(capsys):
-    # the parser is built once per process; later calls must not see state
-    # left by earlier ones, a failed parse included
+    # main keeps no state between calls: a later call must not see what an
+    # earlier one read, a refused command line included
     assert cli.main(["basepoints", gpath("ex2_input.json")]) == 0
     assert capsys.readouterr().out.encode() == golden_bytes("ex2_basepoints.out.json")
     argv = ["series", gpath("ex2_basepoints.out.json"), "--basis", "deg:2"]
@@ -200,6 +209,23 @@ def test_exit_2_on_reducible_extension():
 def test_exit_2_on_missing_file():
     out = run("basepoints", gpath("no_such_file.json"))
     assert out.returncode == 2
+
+
+def test_exit_2_on_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe")
+    out = run("basepoints", str(path))
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr.count(b"\n") == 1 and b"not UTF-8" in out.stderr
+
+
+def test_exit_2_on_stdin_that_is_not_utf8():
+    # strict decoding, as stdin gets in a UTF-8 locale
+    out = run("basepoints", "-", stdin=b"\xff\xfe", env={"PYTHONIOENCODING": "utf-8:strict"})
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr.count(b"\n") == 1 and b"not UTF-8" in out.stderr
 
 
 def test_exit_2_on_bad_basis():
@@ -473,3 +499,218 @@ def test_report_writer_matches_json_dumps_on_every_golden():
         assert cli._dumps(payload) == json.dumps(payload, indent=2), path.name
         if path.name.endswith(".out.json"):
             assert (cli._dumps(payload) + "\n").encode() == path.read_bytes(), path.name
+
+
+@functools.cache
+def _reference_parser() -> argparse.ArgumentParser:
+    # the argparse parser that cli used before its argv reader, as it was
+    parser = argparse.ArgumentParser(
+        prog="linser",
+        description="Basepoint trees, linear series and lattice invariants "
+        "of plane curve systems, in exact arithmetic.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, basis=None):
+        p.add_argument("input", help="path to a JSON problem file, or - for stdin")
+        p.add_argument(
+            "--max-depth",
+            type=int,
+            default=DEFAULT_MAX_DEPTH,
+            help="blowup/tree recursion bound (default %(default)s)",
+        )
+        p.add_argument(
+            "--pretty",
+            action="store_true",
+            help="also draw the basepoint tree on stderr",
+        )
+        if basis == "required":
+            p.add_argument("--basis", required=True, help="deg:N or bideg:A,B")
+        elif basis == "optional":
+            p.add_argument(
+                "--basis",
+                default=None,
+                help="deg:N or bideg:A,B (default: deg of the input series)",
+            )
+
+    p = sub.add_parser("basepoints", help="resolve all basepoints of a series")
+    common(p)
+    p.set_defaults(handler=cli._cmd_basepoints)
+
+    p = sub.add_parser("series", help="series through a basepoint tree")
+    common(p, basis="required")
+    p.set_defaults(handler=cli._cmd_series)
+
+    p = sub.add_parser("invariants", help="lattice invariants of a series")
+    common(p, basis="optional")
+    p.set_defaults(handler=cli._cmd_invariants)
+
+    p = sub.add_parser("complete", help="complete a series within a degree bound")
+    common(p, basis="required")
+    p.set_defaults(handler=cli._cmd_complete)
+
+    p = sub.add_parser("adjoint", help="adjoint series of a planar series")
+    common(p, basis="required")
+    p.set_defaults(handler=cli._cmd_adjoint)
+
+    p = sub.add_parser(
+        "strict-transform", help="transform a series along a blowup sequence"
+    )
+    common(p)
+    p.set_defaults(handler=cli._cmd_strict_transform)
+
+    return parser
+
+
+def _reference_read(argv):
+    ns = _reference_parser().parse_args(argv)
+    return ns.handler, ns
+
+
+def _outcome(read, argv):
+    """(exit code or the arguments read, stdout, stderr) of one command line."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            handler, ns = read(list(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    values = (handler, ns.input, getattr(ns, "basis", None), ns.max_depth, ns.pretty)
+    return values, out.getvalue(), err.getvalue()
+
+
+# Pieces of command lines, good and bad.  Left out are forms that argparse
+# reads differently across Python 3.10-3.13 or that the reader refuses on
+# purpose: "--", prefix abbreviations, "--help=X", "-hX", empty strings and
+# "-5x"-like values.
+_COMMAND_WORDS = [*cli._COMMANDS, "frobnicate"]
+_OPTION_PIECES = {  # piece: weight
+    ("--basis", "deg:2"): 5,
+    ("--basis", "bideg:1,1"): 3,
+    ("--basis=deg:3",): 3,
+    ("--basis=",): 1,
+    ("--basis", "-1"): 1,
+    ("--basis=--pretty",): 1,
+    ("--basis",): 1,
+    ("--max-depth", "5"): 4,
+    ("--max-depth", "-5"): 2,
+    ("--max-depth", "0"): 1,
+    ("--max-depth=7",): 3,
+    ("--max-depth", "x"): 1,
+    ("--max-depth=1.5",): 1,
+    ("--max-depth=",): 1,
+    ("--max-depth", "-"): 1,
+    ("--max-depth",): 1,
+    ("--pretty",): 5,
+    ("--pretty=1",): 1,
+    ("--bogus",): 1,
+    ("-x",): 1,
+    ("extra",): 1,
+    ("-h",): 1,
+    ("--help",): 1,
+}
+
+
+def _argv_corpus(seed=1, size=400):
+    rng = random.Random(seed)
+    inputs = ["-", gpath("ex2_input.json"), "in.json"]
+    corpus = {}
+    while len(corpus) < size:
+        pieces = rng.choices(list(_OPTION_PIECES), list(_OPTION_PIECES.values()),
+                             k=rng.randint(0, 4))
+        if rng.random() < 0.9:
+            pieces.append((rng.choice(inputs),))
+        rng.shuffle(pieces)
+        head = [rng.choice(_COMMAND_WORDS)] if rng.random() < 0.93 else []
+        if rng.random() < 0.08:  # a piece before COMMAND, -h and --help aside
+            head = [*rng.choice(list(_OPTION_PIECES)[:-2]), *head]
+        argv = tuple(head + [token for piece in pieces for token in piece])
+        corpus.setdefault(argv, None)
+    return list(corpus)
+
+
+def test_argv_reader_matches_the_reference_parser():
+    golden_argvs = [
+        ("basepoints", gpath("ex2_input.json")),
+        ("series", "-", "--basis", "deg:2"),
+        ("series", "--basis", "deg:2", "-"),
+        ("invariants", "-"),
+        ("complete", "-", "--basis", "deg:2"),
+        ("adjoint", gpath("quintic_input.json"), "--basis", "deg:5"),
+        ("strict-transform", gpath("strict_input.json")),
+        ("basepoints", gpath("ex2_input.json"), "--pretty"),
+        ("basepoints", "-", "--max-depth", "5000"),
+        ("series", gpath("deep_tree.json"), "--basis", "deg:1", "--max-depth", "64"),
+    ]
+    kinds = {"read": 0, 0: 0, 2: 0}
+    for argv in golden_argvs + _argv_corpus():
+        want, want_out, _ = _outcome(_reference_read, argv)
+        got, out, err = _outcome(cli._read_argv, argv)
+        assert got == want, argv
+        if want == 2:
+            assert out == "" and err.startswith(cli.USAGE + "\nlinser: error: "), argv
+            assert err.count("\n") == 2, argv
+        elif want == 0:
+            assert out.startswith(cli.USAGE) and want_out.startswith("usage: linser"), argv
+        else:
+            assert out == err == "", argv
+        kinds["read" if isinstance(want, tuple) else want] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basepoints", "-", "--max", "5"],
+        ["basepoints", "-", "--pre"],
+        ["series", "-", "--bas", "deg:2"],
+        ["series", "-", "--basis", "deg:2", "--max-d=3"],
+        ["--he"],
+    ],
+)
+def test_argv_prefix_abbreviation_exits_2(argv):
+    # a form the reference takes and the reader refuses on purpose
+    want, _, _ = _outcome(_reference_read, argv)
+    assert want == 0 or isinstance(want, tuple)
+    got, out, err = _outcome(cli._read_argv, argv)
+    assert got == 2
+    assert out == ""
+    assert err.startswith(cli.USAGE + "\nlinser: error: ")
+
+
+def test_argv_double_dash_is_refused():
+    # argparse reads "--" as the end of options, differently across versions
+    got, out, _ = _outcome(cli._read_argv, ["basepoints", "--", "in.json"])
+    assert got == 2
+    assert out == ""
+
+
+def test_argv_help_and_misuse_through_the_console():
+    out = run("--help")
+    assert out.returncode == 0
+    assert out.stdout.decode().startswith(cli.USAGE + "\n")
+    assert f"(default {DEFAULT_MAX_DEPTH})" in out.stdout.decode()
+    assert out.stderr == b""
+    out = run("basepoints", gpath("ex2_input.json"), "--bogus")
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr.decode() == (
+        f"{cli.USAGE}\nlinser: error: unrecognized argument '--bogus'\n"
+    )
+
+
+def test_import_loads_no_argparse():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys; before = set(sys.modules); import linser.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        check=True,
+    )
+    added = set(out.stdout.decode().split())
+    assert "linser.cli" in added
+    assert not added & {"argparse", "gettext", "locale"}
