@@ -1,16 +1,19 @@
 """Univariate factorization over the rationals and over field towers.
 
 The rational case reduces to factoring a monic squarefree integer
-polynomial: split it mod a good prime by factor degree, then within each
+polynomial.  A quadratic splits by the square root of its discriminant.
+Otherwise split it mod a good prime by factor degree, then within each
 degree (Cantor–Zassenhaus), lift with quadratic Hensel steps past the
 Mignotte bound, then recombine subsets by trial division, after a test on
-their constant terms.  Over a tower K = L(a), Trager's norm is taken
-relative to the top generator: a shifted norm, squarefree over the
-subtower L, is factored over L by the same method one level down, and
-each of its factors pulls back to a factor over K by a gcd.  The shifted
-polynomial is summed by the binomial expansion over every L, and the
-norm is squarefree when its gcd with its derivative is 1.  The dense
-integer helpers (_z_*, _gf_gcd) are bipoly's.
+their constant terms.  Squarefree parts come from Yun's loop (1976),
+which a pure power b^k leaves after its first gcd instead of after k
+rounds.  Over a tower K = L(a), Trager's norm is taken relative to the
+top generator: a shifted norm, squarefree over the subtower L, is
+factored over L by the same method one level down, and each of its
+factors pulls back to a factor over K by a gcd.  The shifted polynomial
+is summed by the binomial expansion over every L, and the norm is
+squarefree when its gcd with its derivative is 1.  The dense integer
+helpers (_z_*, _gf_gcd) are bipoly's.
 """
 
 from __future__ import annotations
@@ -191,6 +194,13 @@ def _factor_int_monic_squarefree(g):
     n = len(g) - 1
     if n <= 1:
         return [g]
+    if n == 2:
+        c, b, _ = g
+        disc = b * b - 4 * c
+        s = math.isqrt(disc) if disc > 0 else 0
+        if s * s != disc:
+            return [g]
+        return [[(b - s) // 2, 1], [(b + s) // 2, 1]]
     p = _choose_prime(g)
     modfacs = _gf_factor_squarefree(_z_mod(g, p), p)
     modfacs.sort(key=lambda f: (len(f), tuple(f)))
@@ -354,6 +364,12 @@ def squarefree_decomposition(f: UniPoly):
     b = f.exact_div(a)
     c = d.exact_div(a)
     rest = c - b.derivative()
+    # rest is the sum of (i - 1) * a_i' * b / a_i over the parts a_i of
+    # multiplicity i, so it is (k - 1) * b' exactly when f = b^k, where the
+    # loop would find nothing before round k
+    k, r = divmod(f.degree(), b.degree())
+    if not r and rest == b.derivative() * (k - 1):
+        return [(b, k)]
     out = []
     i = 1
     while not b.is_constant():

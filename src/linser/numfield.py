@@ -13,9 +13,13 @@ equality compares numerators and denominators.
 A product is one integer convolution on exponents, then one pass over a
 per-tower table, built on first use, that rewrites each monomial past a
 generator's degree in the basis; a rational factor only scales the
-other's numerator.  An element x is inverted by solving
-x * y = 1 on the basis: the same table gives the integer matrix of
-multiplication by x, which _gauss.integer_rref reduces in one pass.
+other's numerator.  The table of a tower with top generator a of degree
+d is built from a^0, ..., a^(2d - 2) over the tower below, each reduced
+from the one before by one multiplication by a, times the lower
+monomials, read off the basis and the table of the tower below.  An
+element x is inverted by solving x * y = 1 on the basis: the same table
+gives the integer matrix of multiplication by x, which
+_gauss.integer_rref reduces in one pass.
 
 An element prints as a sum of terms, highest exponents first; a rational
 element or polynomial coefficient prints straight from its pair, already
@@ -29,11 +33,11 @@ polynomial and the parser's ^ pass it their own product.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Callable
 
 from .errors import (
     ConjugationUnavailable,
@@ -164,7 +168,15 @@ class FieldTower:
                 )
                 for a in exps
             )
-            reached = [(i, _monomial(self, e)) for e, i in places.items() if i >= len(exps)]
+            below = self.subtower(self.width - 1)
+            lows = below._monomials()
+            powers = _top_powers(top.minpoly, below)
+            reached = []
+            for e, i in places.items():
+                if i >= len(exps):
+                    low = lows[e[:-1]]
+                    blocks = [low * c for c in powers[e[-1]]]
+                    reached.append((i, FieldElement._from_top_dense(self, blocks)))
             scale = lcm(*(m.den for _, m in reached))
             over = tuple(
                 (i, tuple((k, x * (scale // m.den)) for k, x in enumerate(m.num) if x))
@@ -172,6 +184,31 @@ class FieldTower:
             )
             top.table = (slots, len(places), over, scale)
         return top.table
+
+    def _monomials(self) -> dict:
+        """Each monomial a product of two basis elements reaches, by exponent
+        tuple, read off the basis and the table's ``over`` rows."""
+        if not self._gens:
+            return {(): self.one()}
+        slots, _, over, scale = self._mul_table()
+        rows = dict(over)
+        exps = self.exponents()
+        d = len(exps)
+        out = {}
+        for a, row in zip(exps, slots):
+            for b, i in zip(exps, row):
+                e = tuple(map(add, a, b))
+                if e in out:
+                    continue
+                num = [0] * d
+                if i < d:
+                    num[i] = 1
+                    out[e] = FieldElement(self, tuple(num), 1)
+                else:
+                    for k, x in rows[i]:
+                        num[k] = x
+                    out[e] = _normal(self, num, scale)
+        return out
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -192,18 +229,20 @@ class FieldTower:
 QQ = FieldTower.rationals()
 
 
-def _monomial(tower: FieldTower, exps: tuple[int, ...]) -> "FieldElement":
-    """a_1^e_1 * ... * a_k^e_k in the basis, by products in the tower below
-    and one division by the top generator's minimal polynomial."""
-    from .bipoly import UniPoly  # deferred: bipoly depends on this module
-
-    below = tower.subtower(tower.width - 1)
-    low = below.one()
-    for j, k in enumerate(exps[:-1]):
-        low = low * below.gen(j) ** k
-    top = UniPoly(below, "t", [0] * exps[-1] + [low])
-    rem = top % UniPoly(below, "t", tower._gens[-1].minpoly)
-    return FieldElement._from_top_dense(tower, rem.coeffs)
+def _top_powers(minpoly, below: FieldTower) -> list:
+    """a^0, ..., a^(2d - 2) for a root a of the monic ``minpoly`` of degree d
+    over ``below``, each as its d coefficients there, reduced from the one
+    before by one multiplication by a: a^d = -(m_0 + ... + m_(d-1) a^(d-1))."""
+    zero = below.zero()
+    row = [below.one()] + [zero] * (len(minpoly) - 2)
+    out = [row]
+    for _ in range(2 * len(row) - 2):
+        c = row[-1]
+        row = [zero] + row[:-1]
+        if c:
+            row = [x - c * m for x, m in zip(row, minpoly)]
+        out.append(row)
+    return out
 
 
 def _normal(tower: FieldTower, num, den: int) -> "FieldElement":

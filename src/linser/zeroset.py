@@ -4,8 +4,10 @@ The solver eliminates v once: the u-candidate is the gcd of the members
 free of v, or else one resultant of the first member against a
 combination of the others.  One pass over the candidate's irreducible
 factors decides each at one root, whose conjugates behave alike, and
-adjoins the roots of a factor that carries points; each fiber is solved
-by univariate gcd, and every candidate point (x, y) is verified by
+adjoins the roots of a factor that carries points.  While nothing has
+been adjoined yet, the tower the factor was tested in is kept, so that
+root is adjoined once and only the cofactor is split.  Each fiber is
+solved by univariate gcd, and every candidate point (x, y) is verified by
 evaluating the members on the fiber u = x at y.  A common factor makes
 every resultant vanish, or a whole fiber, and is refused.  All field
 extensions are threaded through one growing tower, so every coordinate
@@ -169,10 +171,18 @@ def _solve_full(polys, t: FieldTower):
     for q, _ in factor_univariate(_candidate(polys)):
         if q.degree() == 1:
             xs = [-q.coeffs[0]]
-        elif _fiber(polys, _adjoin(t, q.coeffs)[2])[1].degree() > 0:
-            xs, chain = adjoin_roots(q, chain)
         else:
-            continue
+            tested, _, alpha = _adjoin(t, q.coeffs)
+            if _fiber(polys, alpha)[1].degree() == 0:
+                continue
+            if chain is t:
+                # the tested tower is the one adjoin_roots would build first,
+                # so alpha is kept and only the cofactor is split
+                linear = UniPoly(tested, q.var, [-alpha, tested.one()])
+                xs, chain = adjoin_roots(q.embed(tested).exact_div(linear), tested)
+                xs = sorted([alpha.embed(chain)] + xs, key=FieldElement.sort_key)
+            else:
+                xs, chain = adjoin_roots(q, chain)
         for x in xs:
             fiber, gv = _fiber(polys, x)
             if gv.degree() == 0:

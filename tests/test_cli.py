@@ -30,7 +30,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run(*args, stdin=None, timeout=None, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "linser.cli", *args],
+        [sys.executable, "-m", "linser", *args],
         input=stdin,
         capture_output=True,
         timeout=timeout,
@@ -48,6 +48,16 @@ def gpath(name):
 
 def test_basepoints_golden():
     out = run("basepoints", gpath("ex2_input.json"))
+    assert out.returncode == 0
+    assert out.stdout == golden_bytes("ex2_basepoints.out.json")
+    assert out.stderr == b""
+
+
+def test_cli_module_prints_the_golden_bytes():
+    out = subprocess.run(
+        [sys.executable, "-m", "linser.cli", "basepoints", gpath("ex2_input.json")],
+        capture_output=True,
+    )
     assert out.returncode == 0
     assert out.stdout == golden_bytes("ex2_basepoints.out.json")
     assert out.stderr == b""
@@ -713,4 +723,4 @@ def test_import_loads_no_argparse():
     )
     added = set(out.stdout.decode().split())
     assert "linser.cli" in added
-    assert not added & {"argparse", "gettext", "locale"}
+    assert not added & {"argparse", "gettext", "locale", "typing"}

@@ -284,6 +284,57 @@ def test_rational_factors_as_by_the_lcm():
         assert rebuild(f, [(g, 1) for g in ours]) == f
 
 
+def _quadratic_corpus():
+    """Monic integer quadratics [c, b, 1], seeded: split, irreducible with a
+    positive or a negative discriminant, zero constant term, and each kind
+    again with 60-digit coefficients."""
+    rng = random.Random(27)
+    out = []
+    for digits in (2, 30):
+        top = 10**digits
+        for _ in range(40):
+            r = rng.randint(-top, top)
+            s = r + rng.randint(1, top)
+            out.append([r * s, -(r + s), 1])
+            b, c = rng.randint(-top * top, top * top), rng.randint(1, top * top)
+            out.append([c, b, 1])
+            out.append([-c, b, 1])
+            out.append([b * b + c, 2 * b, 1])
+            out.append([0, rng.choice((-1, 1)) * rng.randint(1, top * top), 1])
+    return out
+
+
+def test_quadratics_split_by_the_discriminant():
+    kinds = set()
+    for g in _quadratic_corpus():
+        factors = factorize._factor_int_monic_squarefree(g)
+        product = [1]
+        for f in factors:
+            product = factorize._z_mul(product, f)
+            assert f[-1] == 1 and len(f) in (2, 3)
+            if len(f) == 3:
+                disc = f[1] ** 2 - 4 * f[0]
+                assert disc < 0 or math.isqrt(disc) ** 2 != disc
+        assert product == g
+        if g[0] == 0:
+            kind = "zero constant term"
+        elif len(factors) == 2:
+            kind = "split"
+        else:
+            kind = "negative discriminant" if g[1] ** 2 < 4 * g[0] else "irreducible"
+        kinds.add((kind, max(abs(c) for c in g) > 10**59))
+    assert len(kinds) == 8
+
+
+def test_quadratics_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for g in _quadratic_corpus():
+        _, theirs = sympy.factor_list(sum(c * t**k for k, c in enumerate(g)), t)
+        theirs = sorted([int(c) for c in reversed(sympy.Poly(f, t).all_coeffs())] for f, _ in theirs)
+        assert sorted(factorize._factor_int_monic_squarefree(g)) == theirs
+
+
 def test_rational_factors_match_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
@@ -509,6 +560,16 @@ def _squarefree_corpus():
                     coeffs = [c + gen * rng.randint(-1, 1) for c in coeffs[:-1]] + [1]
                 f = f * UniPoly(tower, "t", coeffs) ** rng.choice((1, 1, 2, 3))
             out.append(f)
+        # pure powers f^k and (f*g)^k, up to k = 12
+        for _ in range(12):
+            f = UniPoly.constant(tower, "t", Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 2)):
+                coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 2))] + [1]
+                if gen is not None:
+                    coeffs = [c + gen * rng.randint(-1, 1) for c in coeffs[:-1]] + [1]
+                f = f * UniPoly(tower, "t", coeffs)
+            out.append(f ** rng.randint(2, 12))
     return out
 
 
@@ -516,6 +577,7 @@ def test_squarefree_decomposition_matches_yun_loop():
     corpus = _squarefree_corpus()
     assert sum(_yun_reference(f) == [(f.monic(), 1)] for f in corpus) > 10
     assert sum(any(m > 1 for _, m in _yun_reference(f)) for f in corpus) > 10
+    assert sum(len(_yun_reference(f)) == 1 and _yun_reference(f)[0][1] > 1 for f in corpus) > 10
     for f in corpus:
         assert squarefree_decomposition(f) == _yun_reference(f)
 
@@ -532,6 +594,30 @@ def test_squarefree_input_takes_one_gcd(monkeypatch):
     f = up("t^4 - 3*t^2 + t - 7/2")
     assert squarefree_decomposition(f) == [(f.monic(), 1)]
     assert len(calls) == 1
+
+
+def test_pure_power_takes_one_gcd(monkeypatch):
+    # Yun's loop would take one more gcd for each multiplicity up to k
+    gauss, _, i = extend_field(QQ, [1, 0, 1], "i")
+    cases = [
+        (up("t - 3/2"), 12),
+        (up("t^2 - 3*t + 1/2"), 5),
+        (up("(t - 1)*(t^2 + 2)"), 3),
+        (UniPoly(gauss, "t", [-i, 1]), 12),
+        (UniPoly(gauss, "t", [1 + i, 0, 1]), 4),
+    ]
+    calls = []
+    gcd = UniPoly.gcd
+
+    def spy(self, other):
+        calls.append(other)
+        return gcd(self, other)
+
+    monkeypatch.setattr(UniPoly, "gcd", spy)
+    for b, k in cases:
+        calls.clear()
+        assert squarefree_decomposition(b ** k * 7) == [(b, k)]
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("minpoly", [[-2, 0, 1], [1, 0, 1], [1, 1, 0, 0, 1]])

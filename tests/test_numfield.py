@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -19,6 +19,7 @@ from linser.numfield import (
     QQ,
     FieldElement,
     _adjoin,
+    _normal,
     conjugation,
     extend_field,
     power,
@@ -184,10 +185,10 @@ def test_inverse_is_the_solution_of_x_times_y_equals_one(name):
         tower.zero().inverse()
 
 
-def _table_product(x, y):
-    """The convolution through the tower's table, for any two operands, kept
-    as the reference for products with a rational operand."""
-    slots, size, over, scale = x.tower._mul_table()
+def _table_product(x, y, table=None):
+    """The convolution through the tower's table, or another, for any two
+    operands, kept as the reference for products with a rational operand."""
+    slots, size, over, scale = table or x.tower._mul_table()
     acc = [0] * size
     for a, row in zip(x.num, slots):
         for b, i in zip(y.num, row):
@@ -224,6 +225,71 @@ def test_products_with_a_rational_operand_match_the_table_product(name):
                 assert got == want
                 assert got.den > 0 and gcd(got.den, *got.num) == 1
                 assert len(got.num) == tower.degree()
+
+
+def _reference_table(tower):
+    """The multiplication table built by polynomial division: each monomial
+    past the basis as a power of the top generator times products of the
+    lower generators' powers, reduced modulo the top minimal polynomial."""
+    exps = tower.exponents()
+    places = {e: i for i, e in enumerate(exps)}
+    slots = tuple(
+        tuple(places.setdefault(tuple(x + y for x, y in zip(a, b)), len(places)) for b in exps)
+        for a in exps
+    )
+    below = tower.subtower(tower.width - 1)
+    modulus = UniPoly(below, "t", tower.generators()[-1][1])
+    reached = []
+    for e, i in places.items():
+        if i >= len(exps):
+            low = below.one()
+            for j, k in enumerate(e[:-1]):
+                low = low * below.gen(j) ** k
+            rem = UniPoly(below, "t", [0] * e[-1] + [low]) % modulus
+            reached.append((i, FieldElement._from_top_dense(tower, rem.coeffs)))
+    scale = lcm(*(m.den for _, m in reached))
+    over = tuple(
+        (i, tuple((k, x * (scale // m.den)) for k, x in enumerate(m.num) if x))
+        for i, m in reached
+    )
+    return slots, len(places), over, scale
+
+
+def _table_towers():
+    """Towers of widths 1 to 3 whose top minimal polynomials have rational
+    coefficients that are not integers, or coefficients in the tower below."""
+    towers = _inversion_towers()
+    gauss, _, i = gaussian()
+    half, _, h = extend_field(QQ, [Fraction(1, 3), Fraction(-1, 2), 0, 1], "h")
+    lower, _, r = extend_field(gauss, [-Fraction(1, 3) - i / 2, 0, 1], "r")
+    towers["Q(h), h^3 = h/2 - 1/3"] = half
+    towers["Q(i)(r), r^2 = 1/3 + i/2"] = lower
+    towers["Q(i)(r)(c), c^3 = r*c/3 - i"] = extend_field(
+        lower, [i.embed(lower), -r / 3, 0, 1], "c"
+    )[0]
+    return towers
+
+
+@pytest.mark.parametrize("name", sorted(_table_towers()))
+def test_mul_table_matches_reduction_by_division(name):
+    # every level of the tower, lowest first: the reference for a level
+    # multiplies in the level below, whose table is checked before it
+    tower = _table_towers()[name]
+    for width in range(1, tower.width + 1):
+        sub = tower.subtower(width)
+        assert sub._mul_table() == _reference_table(sub)
+    reference = _reference_table(tower)
+    rng = random.Random(name)
+
+    def element():
+        num = [rng.randint(-10**6, 10**6) if rng.random() < 0.7 else 0 for _ in range(tower.degree())]
+        return _normal(tower, num, rng.randint(1, 10**4))
+
+    for _ in range(20):
+        x, y = element(), element()
+        assert x * y == _table_product(x, y, reference)
+        if x:
+            assert _table_product(x, x.inverse(), reference) == tower.one()
 
 
 def test_inverse_over_a_reducible_minimal_polynomial_raises():

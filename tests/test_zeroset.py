@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from linser import zeroset
+from linser import factorize, zeroset
 from linser.errors import InvalidInput, NonConstantGcd
-from linser.numfield import QQ, extend_field
+from linser.numfield import QQ, FieldTower, extend_field
 from linser.parsing import parse_bipoly
 from linser.zeroset import zero_set
 
@@ -150,6 +150,51 @@ def test_adjoined_factors_are_not_factored_again(extend_field_calls):
     points, chain = zero_set([bp("u^3 - 2"), bp("v - u")])
     assert len(points) == 3 and chain.degree() == 6
     assert extend_field_calls == []
+
+
+SPLIT_ONCE = (
+    (
+        ("u^4 - 2", "v - u"),
+        [("-a0", "-a0", 1), ("a0", "a0", 1), ("-a1", "-a1", 2), ("a1", "a1", 2)],
+        [("a0", ("-2", "0", "0", "0", "1")), ("a1", ("a0^2", "0", "1"))],
+    ),
+    (
+        ("u^3 - 2", "v^2 - u"),
+        [("a1", "-a2", 3), ("a1", "a2", 3),
+         ("-a0 - a1", "-1/2*a0^2*a1*a2 - a2", 3), ("-a0 - a1", "1/2*a0^2*a1*a2 + a2", 3),
+         ("a0", "-1/2*a0^2*a1*a2", 3), ("a0", "1/2*a0^2*a1*a2", 3)],
+        [("a0", ("-2", "0", "0", "1")), ("a1", ("a0^2", "a0", "1")), ("a2", ("-a1", "0", "1"))],
+    ),
+)
+
+
+@pytest.mark.parametrize("texts, expected, generators", SPLIT_ONCE)
+def test_tested_factor_is_adjoined_once(monkeypatch, texts, expected, generators):
+    # the root a factor is tested at stays in the chain, so the factor is
+    # not factored again over the same tower and no tower's table is built
+    # twice
+    factored, built = [], []
+    real_factor = factorize.factor_univariate
+    real_table = FieldTower._mul_table
+
+    def factor(f, tower=None):
+        factored.append(f)
+        return real_factor(f, tower)
+
+    def table(tower):
+        if tower._gens[-1].table is None:
+            built.append(tower)
+        return real_table(tower)
+
+    for module in (factorize, zeroset):
+        monkeypatch.setattr(module, "factor_univariate", factor)
+    monkeypatch.setattr(FieldTower, "_mul_table", table)
+    points, chain = zero_set([bp(s) for s in texts])
+    assert [(str(p.u), str(p.v), p.tower.width) for p in points] == expected
+    assert [(n, tuple(map(str, m))) for n, m in chain.generators()] == generators
+    for k, f in enumerate(factored):
+        assert not any(f.tower == g.tower and f == g for g in factored[:k])
+    assert len(set(built)) == len(built)
 
 
 def test_candidate_factor_without_points_is_skipped():
